@@ -5,7 +5,7 @@ use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
 use aos_core::experiment::{run as run_experiment, SystemUnderTest};
 use aos_core::isa::SafetyConfig;
 use aos_core::security;
-use aos_core::sim::{Machine, RunStats, SimConfig, SimModel};
+use aos_core::sim::{Machine, RunStats, SimConfig};
 use aos_core::workloads::collisions;
 use aos_core::workloads::microbench::pac_distribution;
 use aos_core::workloads::profile::{self, REAL_WORLD, SPEC2006};
@@ -77,10 +77,9 @@ USAGE:
                                             JSON report
   aos ablate [--workload <w>] [--system aos|pa+aos] [--scale <f>]
              [--mcq <n1,n2,..>] [--bwb <n1,n2,..>]
-             [--model stage|approximate] [--json true] [--out <path>]
+             [--json true] [--out <path>]
                                             sweep the MCU geometry (MCQ
-                                            depth x BWB entries) on the
-                                            stage-structured core,
+                                            depth x BWB entries),
                                             normalized to the Table IV
                                             point; any violation on the
                                             benign sweep exits 1
@@ -427,16 +426,13 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let telemetry = report.telemetry();
     let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
     if bool_flag(&parsed, "json") {
-        // v2 added the stage-core pipeline counters (per-stage stall
-        // attribution, store-load replays, exception flushes).
         println!(
-            "{{\n  \"schema\": \"aos-stats/v2\",\n  \"system\": \"{system}\",\n  \
+            "{{\n  \"schema\": \"aos-stats/v3\",\n  \"system\": \"{system}\",\n  \
              \"scale\": {scale},\n  \"workloads\": [{}],\n  \
              \"bwb_hit_rate\": {:.4},\n  \"mcq_peak_occupancy\": {},\n  \
              \"mcq_replays\": {},\n  \"hbt_migration_rows\": {},\n  \
              \"sim_stall_rob\": {},\n  \"sim_stall_lsq\": {},\n  \
-             \"sim_stall_mcq\": {},\n  \"sim_replays\": {},\n  \
-             \"sim_flushes\": {},\n  \
+             \"sim_stall_mcq\": {},\n  \"sim_flushes\": {},\n  \
              \"telemetry\": {}\n}}",
             names
                 .iter()
@@ -450,7 +446,6 @@ pub fn stats(args: &[String]) -> Result<(), String> {
             telemetry.counter(Counter::SimStallRob),
             telemetry.counter(Counter::SimStallLsq),
             telemetry.counter(Counter::SimStallMcq),
-            telemetry.counter(Counter::SimReplays),
             telemetry.counter(Counter::SimFlushes),
             telemetry.to_json("  "),
         );
@@ -533,13 +528,12 @@ struct AblatePoint {
 }
 
 /// `aos ablate [--workload w] [--system aos|pa+aos] [--scale f]
-/// [--mcq n1,n2,..] [--bwb n1,n2,..] [--model stage|approximate]
-/// [--json true] [--out path]`.
+/// [--mcq n1,n2,..] [--bwb n1,n2,..] [--json true] [--out path]`.
 ///
-/// The MCU-geometry sensitivity study the stage-structured core makes
-/// possible: sweep MCQ depth x BWB entries over one benign workload
-/// and report cycles (normalized to the Table IV point), IPC, the
-/// MCQ-full dispatch-stall count and the BWB hit rate per point. A
+/// The MCU-geometry sensitivity study: sweep MCQ depth x BWB entries
+/// over one benign workload and report cycles (normalized to the
+/// Table IV point), IPC, the MCQ-full issue-stall count and the BWB
+/// hit rate per point. A
 /// violation on the benign sweep is a real finding (exit 1): shrinking
 /// a queue may slow the machine down but must never change what it
 /// detects.
@@ -557,17 +551,11 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
         )
         .into());
     }
-    let model = match parsed.flag("model") {
-        None => SimModel::default(),
-        Some(name) => SimModel::parse(name)
-            .ok_or_else(|| format!("unknown model '{name}' (stage, approximate)"))?,
-    };
     let mcq_points = parse_geometry_list(parsed.flag("mcq").unwrap_or("12,24,48,96"), "mcq")?;
     let bwb_points = parse_geometry_list(parsed.flag("bwb").unwrap_or("16,64,128"), "bwb")?;
 
     let run_point = |mcq: usize, bwb: usize| -> AblatePoint {
-        let sut = SystemUnderTest::scaled(system, scale).with_model(model);
-        let mut config = sut.machine_config();
+        let mut config = SystemUnderTest::scaled(system, scale).machine_config();
         config.mcu.mcq_entries = mcq;
         config.mcu.bwb_entries = bwb;
         let mut machine = Machine::new(config);
@@ -590,9 +578,8 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
         .unwrap_or_else(|| run_point(ref_mcq, ref_bwb).stats);
 
     println!(
-        "== aos ablate: {} on {system} @ scale {scale} ({} model) ==",
-        workload.name,
-        model.name()
+        "== aos ablate: {} on {system} @ scale {scale} ==",
+        workload.name
     );
     println!(
         "reference: mcq={ref_mcq} bwb={ref_bwb} cycles={} (Table IV geometry)",
@@ -621,8 +608,8 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
                 format!(
                     "{indent}  {{\"mcq\": {}, \"bwb\": {}, \"cycles\": {}, \
                      \"normalized\": {:.6}, \"ipc\": {:.4}, \
-                     \"stall_mcq\": {}, \"lsq_replays\": {}, \
-                     \"flushes\": {}, \"bwb_hit_rate\": {:.4}, \
+                     \"stall_mcq\": {}, \"flushes\": {}, \
+                     \"bwb_hit_rate\": {:.4}, \
                      \"violations\": {}}}",
                     p.mcq,
                     p.bwb,
@@ -630,7 +617,6 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
                     p.stats.cycles as f64 / reference.cycles as f64,
                     p.stats.ipc(),
                     p.stats.stalls_mcq,
-                    p.stats.lsq_replays,
                     p.stats.flushes,
                     p.stats.bwb.hit_rate(),
                     p.stats.violations,
@@ -638,13 +624,12 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
             })
             .collect();
         format!(
-            "{{\n{indent}\"schema\": \"aos-ablate-report/v1\",\n\
+            "{{\n{indent}\"schema\": \"aos-ablate-report/v2\",\n\
              {indent}\"workload\": \"{}\",\n{indent}\"system\": \"{system}\",\n\
-             {indent}\"scale\": {scale},\n{indent}\"model\": \"{}\",\n\
+             {indent}\"scale\": {scale},\n\
              {indent}\"reference\": {{\"mcq\": {ref_mcq}, \"bwb\": {ref_bwb}, \
              \"cycles\": {}}},\n{indent}\"points\": [\n{}\n{indent}]\n}}",
             workload.name,
-            model.name(),
             reference.cycles,
             cells.join(",\n"),
         )
@@ -1622,12 +1607,10 @@ mod tests {
         assert!(text.contains("aos corpus verify"));
         assert!(text.contains("--entry"));
         assert!(text.contains("--mode sim|lint"));
-        // The geometry sweep is documented, axes and model flag
-        // included.
+        // The geometry sweep is documented, axes included.
         assert!(text.contains("aos ablate"));
         assert!(text.contains("--mcq"));
         assert!(text.contains("--bwb"));
-        assert!(text.contains("--model stage|approximate"));
         // The multi-policy surface is documented: the matrix command,
         // the --policy flag, the policy roster, and guided fuzzing.
         assert!(text.contains("aos matrix"));
@@ -1675,12 +1658,11 @@ mod tests {
     #[test]
     fn ablate_exit_code_contract() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // Usage errors: bad axes, bad model, non-AOS system.
+        // Usage errors: bad axes, non-AOS system.
         for bad in [
             &["--mcq", "0"][..],
             &["--mcq", "twelve"],
             &["--bwb", "64,"],
-            &["--model", "rtl"],
             &["--system", "baseline"],
             &["--workload", "doom"],
         ] {
@@ -1693,11 +1675,6 @@ mod tests {
         // runs clean: geometry affects timing, never detection.
         assert!(ablate(&args(&[
             "--scale", "0.002", "--mcq", "24,48", "--bwb", "64",
-        ]))
-        .is_ok());
-        // The legacy model is reachable for A/B sweeps.
-        assert!(ablate(&args(&[
-            "--scale", "0.002", "--mcq", "48", "--bwb", "64", "--model", "approximate",
         ]))
         .is_ok());
     }
@@ -1721,11 +1698,9 @@ mod tests {
     #[test]
     fn corpus_exit_code_contract() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let dir = std::env::temp_dir().join("aos-cli-corpus-tests");
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = aos_util::TestDir::new("cli-corpus-contract").expect("test dir");
         let path = dir.join("contract.aosc");
         let path_str = path.display().to_string();
-        std::fs::remove_file(&path).ok();
 
         // Usage errors: missing required flags / unknown values.
         assert!(matches!(corpus(&[]), Err(CliError::Usage(_))));
@@ -1783,7 +1758,6 @@ mod tests {
             corpus(&args(&["verify", &path_str])),
             Err(CliError::Findings(_))
         ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -186,12 +186,6 @@ mod tests {
             .collect()
     }
 
-    fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("aos-fault-corpus-tests");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(name)
-    }
-
     fn write_two_entry_corpus(path: &PathBuf) -> (u64, u64) {
         let mut w = CorpusWriter::create(path, Telemetry::disabled()).expect("create");
         let a = w.record("victim", "", ops(200).into_iter()).expect("a");
@@ -202,7 +196,8 @@ mod tests {
 
     #[test]
     fn bit_flip_quarantines_only_the_damaged_entry() {
-        let path = temp("flip.aosc");
+        let dir = aos_util::TestDir::new("fault-corpus-flip").expect("test dir");
+        let path = dir.join("flip.aosc");
         let (victim_offset, _) = write_two_entry_corpus(&path);
         flip_block_bit(&path, victim_offset, 0, 123).expect("inject");
 
@@ -237,12 +232,12 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("clean");
         assert_eq!(replayed, ops(64));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mid_frame_truncation_is_rejected_at_open_not_served_short() {
-        let path = temp("cut.aosc");
+        let dir = aos_util::TestDir::new("fault-corpus-cut").expect("test dir");
+        let path = dir.join("cut.aosc");
         let (victim_offset, _) = write_two_entry_corpus(&path);
         truncate_mid_frame(&path, victim_offset, 0).expect("inject");
         let err = CorpusReader::open(&path, Telemetry::disabled())
@@ -252,12 +247,12 @@ mod tests {
             matches!(err, AosError::Corruption { .. }),
             "typed corruption, not a panic: {err}"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn injector_refuses_out_of_range_targets() {
-        let path = temp("range.aosc");
+        let dir = aos_util::TestDir::new("fault-corpus-range").expect("test dir");
+        let path = dir.join("range.aosc");
         let (victim_offset, _) = write_two_entry_corpus(&path);
         assert!(matches!(
             flip_block_bit(&path, victim_offset, 9, 0),
@@ -270,18 +265,17 @@ mod tests {
         // The uncorrupted file still verifies clean afterwards.
         let r = CorpusReader::open(&path, Telemetry::disabled()).expect("open");
         assert!(r.verify().iter().all(|c| c.status.is_ok()));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn frame_walk_matches_writer_layout() {
-        let path = temp("walk.aosc");
+        let dir = aos_util::TestDir::new("fault-corpus-walk").expect("test dir");
+        let path = dir.join("walk.aosc");
         let (victim_offset, _) = write_two_entry_corpus(&path);
         let bytes = std::fs::read(&path).unwrap();
         let frames = walk_entry_frames(&bytes, victim_offset, &path).expect("walk");
         // header, one op block (200 ops < BLOCK_OPS), trailer
         assert_eq!(frames.iter().map(|f| f.kind).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(frames[2].payload_len, 12, "trailer is op_count + block_count");
-        std::fs::remove_file(&path).ok();
     }
 }

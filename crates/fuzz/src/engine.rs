@@ -668,8 +668,7 @@ mod tests {
     fn banked_corpus_replays_stable() {
         use crate::primitive::CompositeKind;
 
-        let dir = std::env::temp_dir().join("aos-fuzz-engine-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = aos_util::TestDir::new("fuzz-engine-bank").expect("test dir");
         let path = dir.join("bank.aosc");
         let telemetry = Telemetry::disabled();
         let specs: Vec<ScenarioSpec> = [CompositeKind::HeapSpray, CompositeKind::DanglingResign]
@@ -686,6 +685,5 @@ mod tests {
         let replay = replay_corpus(&path, &telemetry).expect("replay");
         assert!(replay.is_stable(), "{:?}", replay.checks);
         assert_eq!(replay.checks.len(), 2);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -692,15 +692,10 @@ mod tests {
             .collect()
     }
 
-    fn temp_corpus(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("aos-corpus-tests");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(name)
-    }
-
     #[test]
     fn record_replay_roundtrips_across_block_boundaries() {
-        let path = temp_corpus("roundtrip.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-roundtrip").expect("test dir");
+        let path = dir.join("roundtrip.aosc");
         let ops = sample_ops(BLOCK_OPS * 2 + 17);
         let t = Telemetry::enabled();
         let mut w = CorpusWriter::create(&path, t.clone()).expect("create");
@@ -723,12 +718,12 @@ mod tests {
             .collect::<Result<_, _>>()
             .expect("clean replay");
         assert_eq!(replayed, ops);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn multiple_entries_index_and_verify() {
-        let path = temp_corpus("multi.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-multi").expect("test dir");
+        let path = dir.join("multi.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("a", "first", sample_ops(10).into_iter()).unwrap();
         w.record("b", "second", sample_ops(100).into_iter()).unwrap();
@@ -750,24 +745,24 @@ mod tests {
         let empty = r.find("empty").unwrap().clone();
         assert_eq!(empty.op_count, 0);
         assert_eq!(r.replay(&empty).unwrap().count(), 0);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unfinished_corpus_is_rejected() {
-        let path = temp_corpus("unfinished.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-unfinished").expect("test dir");
+        let path = dir.join("unfinished.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("x", "", sample_ops(4).into_iter()).unwrap();
         drop(w); // never finished
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
         assert!(err.to_string().contains("unfinished"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn flipped_block_bit_is_quarantined_with_a_typed_error() {
-        let path = temp_corpus("bitflip.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-bitflip").expect("test dir");
+        let path = dir.join("bitflip.aosc");
         let ops = sample_ops(64);
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         let entry = w.record("victim", "", ops.iter().copied()).unwrap();
@@ -801,12 +796,12 @@ mod tests {
         }
         assert!(saw_error);
         assert_eq!(yielded, 0, "no op from a corrupt block may be replayed");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncation_mid_frame_is_detected() {
-        let path = temp_corpus("truncated.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-truncated").expect("test dir");
+        let path = dir.join("truncated.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         let entry = w.record("t", "", sample_ops(64).into_iter()).unwrap();
         w.finish().unwrap();
@@ -819,12 +814,12 @@ mod tests {
         // corruption rather than serving a file missing its index.
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn index_crc_mismatch_is_detected() {
-        let path = temp_corpus("badindex.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-badindex").expect("test dir");
+        let path = dir.join("badindex.aosc");
         let mut w = CorpusWriter::create(&path, Telemetry::disabled()).expect("create");
         w.record("x", "", sample_ops(8).into_iter()).unwrap();
         w.finish().unwrap();
@@ -834,7 +829,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(err.to_string().contains("index CRC"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -846,10 +840,10 @@ mod tests {
 
     #[test]
     fn garbage_file_is_corruption_not_panic() {
-        let path = temp_corpus("garbage.aosc");
+        let dir = aos_util::TestDir::new("isa-corpus-garbage").expect("test dir");
+        let path = dir.join("garbage.aosc");
         std::fs::write(&path, b"this is not a corpus at all").unwrap();
         let err = CorpusReader::open(&path, Telemetry::disabled()).unwrap_err();
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -798,9 +798,12 @@ impl<I: Iterator<Item = Op>> Iterator for SpliceMany<I> {
             if let Some(op) = self.pending.pop_front() {
                 return Some(op);
             }
-            let replaced = self.take_edits_here();
+            // Pull the original op before taking this site's edits: a
+            // replace at the stream's length has no op to replace and
+            // must fall to the tail rule, not be queued.
             match self.inner.next() {
                 Some(op) => {
+                    let replaced = self.take_edits_here();
                     self.index += 1;
                     if !replaced {
                         self.pending.push_back(op);

@@ -550,31 +550,6 @@ impl MemoryCheckUnit {
         }
     }
 
-    /// Removes every entry *younger* than `id` (strictly greater ids)
-    /// — the pipeline-flush path when a precise exception at commit
-    /// squashes all in-flight ops after the faulting one. The entry
-    /// with `id` itself (and everything older) survives. Returns how
-    /// many entries were squashed.
-    pub fn squash_newer(&mut self, id: u64) -> usize {
-        // The queue is always sorted by id, so the squash boundary is
-        // a partition point and the removal a truncate.
-        let keep = self.queue.partition_point(|e| e.id <= id);
-        let squashed = self.queue.len() - keep;
-        for e in &self.queue[keep..] {
-            if matches!(e.op, McuOp::BndStr { .. }) {
-                self.bndstr_live -= 1;
-            }
-        }
-        self.queue.truncate(keep);
-        if self.queue.is_empty() {
-            self.ready_floor = u64::MAX;
-            self.release_pending = false;
-        }
-        // `ready_floor` stays a valid lower bound after removals (the
-        // true floor can only rise), so no recompute is needed.
-        squashed
-    }
-
     /// Clears the whole queue (process teardown).
     pub fn flush(&mut self) {
         self.queue.clear();
@@ -972,55 +947,6 @@ mod tests {
 
     fn signed(layout: PointerLayout, addr: u64, pac: u64) -> u64 {
         layout.compose(addr, pac, 1)
-    }
-
-    #[test]
-    fn squash_newer_removes_exactly_the_younger_entries() {
-        let (mut mcu, mut hbt, layout) = setup();
-        let ptr = signed(layout, 0x4000, 7);
-        let survivor = mcu
-            .issue(McuOp::BndStr { pointer: ptr, size: 64 }, 0)
-            .unwrap();
-        let young_access = mcu
-            .issue(
-                McuOp::Access {
-                    pointer: ptr,
-                    is_store: false,
-                },
-                0,
-            )
-            .unwrap();
-        let young_bndstr = mcu
-            .issue(
-                McuOp::BndStr {
-                    pointer: signed(layout, 0x8000, 9),
-                    size: 64,
-                },
-                0,
-            )
-            .unwrap();
-        assert!(young_access > survivor && young_bndstr > young_access);
-        assert_eq!(mcu.len(), 3);
-
-        assert_eq!(mcu.squash_newer(survivor), 2);
-        assert_eq!(mcu.len(), 1);
-        assert!(mcu.state_of(survivor).is_some());
-        assert!(mcu.state_of(young_access).is_none());
-        assert!(mcu.state_of(young_bndstr).is_none());
-
-        // The surviving bndstr still completes and retires cleanly —
-        // bndstr_live accounting survived the squash.
-        mcu.mark_committed(survivor);
-        let mut events = Vec::new();
-        let mut mem = ZeroLatencyMemory;
-        for now in 1..64 {
-            mcu.tick(now, &mut hbt, &mut mem, &mut events);
-            if mcu.is_empty() {
-                break;
-            }
-        }
-        assert!(mcu.is_empty(), "survivor must drain: {events:?}");
-        assert_eq!(mcu.squash_newer(survivor), 0, "empty queue squashes nothing");
     }
 
     #[test]

@@ -385,13 +385,6 @@ pub fn execute(spec: &JobSpec, telemetry: &Telemetry) -> Result<String, AosError
 mod tests {
     use super::*;
     use aos_util::Counter;
-    use std::path::PathBuf;
-
-    fn temp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("aos-serve-jobs-tests");
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir.join(name)
-    }
 
     #[test]
     fn trace_job_reports_a_digest() {
@@ -409,8 +402,8 @@ mod tests {
 
     #[test]
     fn record_then_replay_is_bit_identical_to_the_in_process_pipeline() {
-        let path = temp("identity.aosc");
-        std::fs::remove_file(&path).ok();
+        let dir = aos_util::TestDir::new("serve-jobs-identity").expect("test dir");
+        let path = dir.join("identity.aosc");
         let record = JobSpec::CorpusRecord {
             path: path.display().to_string(),
             workloads: vec!["mcf".into()],
@@ -435,13 +428,12 @@ mod tests {
             replayed.contains(&expect),
             "replay {replayed} != in-process digest {expect}"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn replay_lint_matches_in_process_lint() {
-        let path = temp("lintid.aosc");
-        std::fs::remove_file(&path).ok();
+        let dir = aos_util::TestDir::new("serve-jobs-lintid").expect("test dir");
+        let path = dir.join("lintid.aosc");
         execute(
             &JobSpec::CorpusRecord {
                 path: path.display().to_string(),
@@ -468,13 +460,12 @@ mod tests {
         );
         let expect = format!("\"report_digest\":\"{:016x}\"", report_digest(&report));
         assert!(via_corpus.contains(&expect), "{via_corpus} != {expect}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn corrupt_replay_is_a_typed_quarantine() {
-        let path = temp("quarantine.aosc");
-        std::fs::remove_file(&path).ok();
+        let dir = aos_util::TestDir::new("serve-jobs-quarantine").expect("test dir");
+        let path = dir.join("quarantine.aosc");
         execute(
             &JobSpec::CorpusRecord {
                 path: path.display().to_string(),
@@ -521,7 +512,6 @@ mod tests {
         .expect("verify is a report, not a gate");
         assert!(verify.contains("\"quarantined\":1"));
         assert!(verify.contains("\"clean\":false"));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The evaluation machine: a stage-structured out-of-order model of
-//! the Table IV core with its cache hierarchy, DRAM, and the AOS
-//! hardware attached.
+//! The evaluation machine: a trace-driven, cycle-approximate
+//! out-of-order model of the Table IV core with its cache hierarchy,
+//! DRAM, and the AOS hardware attached.
 //!
 //! The paper evaluates AOS in gem5 on an 8-wide out-of-order AArch64
 //! core (2 GHz, 192-entry ROB, 32-entry load and store queues, 48-entry
@@ -14,19 +14,16 @@
 //!   fixed-latency DRAM; bounds traffic routes through the L1-B when
 //!   present, otherwise it contends with data in the L1-D — the
 //!   mechanism behind the Fig. 15 ablation;
-//! - [`pipeline`] — the default [`machine::SimModel::Stage`] core:
-//!   fetch, decode/rename (RAT + physical register file), dispatch,
-//!   execute, a load/store queue with store→load forwarding and
-//!   store-load replay, a circular reorder buffer with delayed
-//!   retirement for precise AOS exceptions (fault latched in the ROB,
-//!   raised at commit, everything younger squashed and refetched),
-//!   and in-order commit — with the MCU/MCQ and BWB attached as
-//!   structural units (MCQ full ⇒ dispatch stall);
-//! - [`machine`] — configuration, statistics, and the legacy analytic
-//!   cycle-approximate loop kept behind
-//!   [`machine::SimModel::Approximate`] as the A/B reference.
+//! - [`machine`] — configuration, statistics, and the timing loop
+//!   behind [`Machine::run`]: issue into a ROB and load/store queues,
+//!   with the MCU/MCQ and BWB attached as structural units (MCQ full ⇒
+//!   issue stall), in-order retirement that holds a checked op at the
+//!   ROB head until its bounds check succeeds (delayed retirement,
+//!   paper §V-B), and AOS exceptions raised when the check fails,
+//!   each charged as one pipeline flush;
+//! - [`tage`] — the optional in-simulator L-TAGE branch predictor.
 //!
-//! Neither model is RTL: they reproduce the throughput effects (extra
+//! The model is not RTL: it reproduces the throughput effects (extra
 //! µops, metadata cache pressure, delayed retirement, crypto latency)
 //! that produce the paper's normalized results, as documented in
 //! `DESIGN.md`.
@@ -53,9 +50,8 @@
 pub mod cache;
 pub mod hierarchy;
 pub mod machine;
-pub mod pipeline;
 pub mod tage;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{MemoryHierarchy, TrafficStats};
-pub use machine::{BranchModel, Machine, MachineConfig, RunStats, SimConfig, SimModel};
+pub use machine::{BranchModel, Machine, MachineConfig, RunStats, SimConfig};

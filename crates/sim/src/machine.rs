@@ -1,8 +1,5 @@
-//! The machine front door: configuration, statistics, and the two
-//! simulation models behind [`Machine::run`] — the default
-//! stage-structured out-of-order core in [`crate::pipeline`] and the
-//! legacy cycle-approximate analytic loop kept in this module behind
-//! [`SimModel::Approximate`].
+//! The machine: configuration, statistics, and the cycle-approximate
+//! timing loop behind [`Machine::run`].
 
 use std::collections::VecDeque;
 
@@ -15,7 +12,6 @@ use aos_ptrauth::PointerLayout;
 
 use crate::cache::CacheStats;
 use crate::hierarchy::{MemoryHierarchy, TrafficStats};
-use crate::pipeline::StageCore;
 use crate::tage::{Tage, TageConfig};
 
 /// How branch outcomes are predicted.
@@ -28,41 +24,6 @@ pub enum BranchModel {
     /// Run the in-simulator L-TAGE; mispredictions emerge from the
     /// predictor's actual behaviour on the branch stream.
     Tage,
-}
-
-/// Which simulation model executes the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimModel {
-    /// The stage-structured out-of-order core ([`crate::pipeline`]):
-    /// fetch / rename (RAT) / dispatch / execute / LSQ / ROB / commit
-    /// as first-class components, with precise AOS exceptions raised
-    /// at commit (delayed retirement) and a structural store→load
-    /// forwarding + replay path in the LSQ.
-    #[default]
-    Stage,
-    /// The legacy analytic cycle-approximate loop — kept as an A/B
-    /// escape hatch so campaign reports can quantify what the
-    /// structural model changes.
-    Approximate,
-}
-
-impl SimModel {
-    /// Stable wire token (CLI flags, campaign report).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimModel::Stage => "stage",
-            SimModel::Approximate => "approximate",
-        }
-    }
-
-    /// Parses a wire token produced by [`SimModel::name`].
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "stage" => Some(SimModel::Stage),
-            "approximate" | "approx" => Some(SimModel::Approximate),
-            _ => None,
-        }
-    }
 }
 
 /// The named Table IV core-geometry constants. `table_iv`, the
@@ -128,10 +89,6 @@ pub struct MachineConfig {
     /// bookkeeping exactly, so statistics are bit-identical either way
     /// — the `event_skip_is_invisible` differential test pins this.
     pub event_skip: bool,
-    /// Which simulation model executes the trace (stage-structured
-    /// core by default; the analytic loop behind
-    /// [`SimModel::Approximate`]).
-    pub model: SimModel,
 }
 
 impl MachineConfig {
@@ -159,7 +116,6 @@ impl MachineConfig {
             branch_model: BranchModel::default(),
             telemetry: false,
             event_skip: true,
-            model: SimModel::default(),
         }
     }
 
@@ -243,13 +199,8 @@ pub struct RunStats {
     pub stalls_lsq: u64,
     /// Issue stalls charged to a full MCQ (the paper's back-pressure).
     pub stalls_mcq: u64,
-    /// Loads the stage-core LSQ replayed after an older in-window
-    /// store resolved to an overlapping address (always zero under
-    /// [`SimModel::Approximate`], which has no ordering speculation).
-    pub lsq_replays: u64,
-    /// Precise-exception pipeline flushes: commits of a faulted op
-    /// that squashed everything younger (always zero under
-    /// [`SimModel::Approximate`], which charges faults at event time).
+    /// Pipeline flushes: one per raised AOS exception, each redirecting
+    /// fetch for a misprediction penalty. Equal to `violations`.
     pub flushes: u64,
     /// Pipeline telemetry snapshot (all-zero/disabled when the config
     /// did not enable telemetry). Deterministic for a given
@@ -290,7 +241,7 @@ struct RobEntry {
 /// The event-skip fast-forward replays the per-cycle hazard counter
 /// the blocked cycle would have charged, once per skipped cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StallKind {
+enum StallKind {
     /// Nothing blocked; the group ended because the trace ran dry.
     None,
     /// The front end is flushed until `fetch_resume_at`.
@@ -303,8 +254,8 @@ pub(crate) enum StallKind {
     Mcq,
 }
 
-pub(crate) struct BoundsPort<'a> {
-    pub(crate) hierarchy: &'a mut MemoryHierarchy,
+struct BoundsPort<'a> {
+    hierarchy: &'a mut MemoryHierarchy,
 }
 
 impl BoundsMemory for BoundsPort<'_> {
@@ -321,50 +272,46 @@ impl BoundsMemory for BoundsPort<'_> {
 ///
 /// See the [crate docs](crate) for an example and the modeling notes.
 pub struct Machine {
-    pub(crate) config: MachineConfig,
-    pub(crate) hierarchy: MemoryHierarchy,
-    pub(crate) mcu: MemoryCheckUnit,
-    pub(crate) hbt: HashedBoundsTable,
-    pub(crate) now: u64,
+    config: MachineConfig,
+    hierarchy: MemoryHierarchy,
+    mcu: MemoryCheckUnit,
+    hbt: HashedBoundsTable,
+    now: u64,
     rob: VecDeque<RobEntry>,
     loads_inflight: usize,
     stores_inflight: usize,
     fetch_resume_at: u64,
-    pub(crate) prev_cycle_stalled: bool,
-    pub(crate) mix: InstMix,
-    pub(crate) retired_ops: u64,
-    pub(crate) violations: u64,
-    pub(crate) hbt_resizes: u64,
-    pub(crate) charged_mispredicts: u64,
-    pub(crate) waived_mispredicts: u64,
-    pub(crate) stall_cycles: u64,
-    pub(crate) stalls_rob: u64,
-    pub(crate) stalls_lsq: u64,
-    pub(crate) stalls_mcq: u64,
-    pub(crate) lsq_replays: u64,
-    pub(crate) flushes: u64,
+    prev_cycle_stalled: bool,
+    mix: InstMix,
+    retired_ops: u64,
+    violations: u64,
+    hbt_resizes: u64,
+    charged_mispredicts: u64,
+    waived_mispredicts: u64,
+    stall_cycles: u64,
+    stalls_rob: u64,
+    stalls_lsq: u64,
+    stalls_mcq: u64,
+    flushes: u64,
     /// Counter values already published to telemetry by earlier runs
     /// of this machine — `collect_stats` publishes only the delta so
     /// accumulating runs never double-count.
-    published_sim_counters: [u64; 5],
-    pub(crate) mcu_events: Vec<McuEvent>,
+    published_sim_counters: [u64; 4],
+    mcu_events: Vec<McuEvent>,
     /// Reusable buffer for HBT metadata-line drains — avoids a `Vec`
     /// allocation per simulated cycle on the checking path.
-    pub(crate) bounds_lines: Vec<u64>,
+    bounds_lines: Vec<u64>,
     /// Completion time of the most recent *chained* load — the running
-    /// pointer-traversal dependence (approximate model only; the stage
-    /// core tracks the dependence through its RAT).
+    /// pointer-traversal dependence.
     last_chain_complete: u64,
     /// The L-TAGE instance, when `branch_model` is `Tage`.
-    pub(crate) tage: Option<Tage>,
-    /// The stage-structured pipeline state ([`SimModel::Stage`]).
-    pub(crate) stage: StageCore,
+    tage: Option<Tage>,
     /// The registry handle shared with the MCU, BWB and HBT.
-    pub(crate) telemetry: aos_util::Telemetry,
+    telemetry: aos_util::Telemetry,
     /// `AOS_SIM_DEBUG` presence, sampled once at construction — the
     /// run loop is the hottest code in the repository and must not
     /// query the environment every cycle.
-    pub(crate) debug: bool,
+    debug: bool,
 }
 
 impl Machine {
@@ -396,9 +343,8 @@ impl Machine {
             stalls_rob: 0,
             stalls_lsq: 0,
             stalls_mcq: 0,
-            lsq_replays: 0,
             flushes: 0,
-            published_sim_counters: [0; 5],
+            published_sim_counters: [0; 4],
             mcu_events: Vec::new(),
             bounds_lines: Vec::new(),
             last_chain_complete: 0,
@@ -406,7 +352,6 @@ impl Machine {
                 BranchModel::Tage => Some(Tage::new(TageConfig::default())),
                 BranchModel::TraceProvided => None,
             },
-            stage: StageCore::new(&config),
             debug: std::env::var_os("AOS_SIM_DEBUG").is_some(),
             telemetry,
             config,
@@ -426,24 +371,15 @@ impl Machine {
 
     /// Runs a trace to completion and returns the statistics.
     ///
-    /// Dispatches on [`MachineConfig::model`]: the stage-structured
-    /// out-of-order core by default, the legacy analytic loop under
-    /// [`SimModel::Approximate`].
+    /// Each cycle steps the MCU, advances any HBT migration, retires
+    /// from the ROB head and issues up to `issue_width` ops.
     ///
     /// # Panics
     ///
     /// Panics if the simulation fails to make forward progress (a
     /// model bug, bounded at 2^40 cycles).
     pub fn run<I: IntoIterator<Item = Op>>(&mut self, trace: I) -> RunStats {
-        let trace = trace.into_iter();
-        match self.config.model {
-            SimModel::Stage => self.run_stage(trace),
-            SimModel::Approximate => self.run_approximate(trace),
-        }
-    }
-
-    /// The legacy analytic cycle-approximate loop ([`SimModel::Approximate`]).
-    fn run_approximate<I: Iterator<Item = Op>>(&mut self, mut trace: I) -> RunStats {
+        let mut trace = trace.into_iter();
         let mut pending: Option<Op> = None;
         loop {
             self.tick_mcu();
@@ -514,8 +450,8 @@ impl Machine {
     }
 
     /// Publishes run-loop telemetry deltas and snapshots the run's
-    /// statistics — shared by both simulation models.
-    pub(crate) fn collect_stats(&mut self) -> RunStats {
+    /// statistics.
+    fn collect_stats(&mut self) -> RunStats {
         // Publish the per-component counters accumulated during the
         // run before the snapshot below reads them.
         self.mcu.flush_telemetry();
@@ -523,14 +459,12 @@ impl Machine {
             self.stalls_rob,
             self.stalls_lsq,
             self.stalls_mcq,
-            self.lsq_replays,
             self.flushes,
         ];
         let counters = [
             aos_util::Counter::SimStallRob,
             aos_util::Counter::SimStallLsq,
             aos_util::Counter::SimStallMcq,
-            aos_util::Counter::SimReplays,
             aos_util::Counter::SimFlushes,
         ];
         for ((counter, &value), published) in counters
@@ -560,7 +494,6 @@ impl Machine {
             stalls_rob: self.stalls_rob,
             stalls_lsq: self.stalls_lsq,
             stalls_mcq: self.stalls_mcq,
-            lsq_replays: self.lsq_replays,
             flushes: self.flushes,
             telemetry: self.telemetry.snapshot(),
         }
@@ -613,9 +546,7 @@ impl Machine {
                             self.hbt_resizes += 1;
                             self.mcu.retry(*id);
                         } else {
-                            self.violations += 1;
-                            self.telemetry.count(aos_util::Counter::SimViolations);
-                            self.mcu.drop_failed(*id);
+                            self.raise(*id);
                         }
                     }
                     AosException::BoundsCheckFailure { .. }
@@ -626,9 +557,7 @@ impl Machine {
                         // resume" OS policy). Malformed bndstr bounds
                         // from a tampered trace land here too: the
                         // store is dropped and the fault counted.
-                        self.violations += 1;
-                        self.telemetry.count(aos_util::Counter::SimViolations);
-                        self.mcu.drop_failed(*id);
+                        self.raise(*id);
                     }
                 }
             }
@@ -644,6 +573,19 @@ impl Machine {
             self.bounds_lines.clear();
             self.hbt.drain_accesses_into(&mut self.bounds_lines);
         }
+    }
+
+    /// Raises the AOS exception of MCQ entry `id`: the violation is
+    /// counted, the faulting op is dropped, and the pipeline pays one
+    /// flush — fetch redirects after a misprediction penalty.
+    fn raise(&mut self, id: u64) {
+        self.violations += 1;
+        self.flushes += 1;
+        self.telemetry.count(aos_util::Counter::SimViolations);
+        self.mcu.drop_failed(id);
+        self.fetch_resume_at = self
+            .fetch_resume_at
+            .max(self.now + self.config.mispredict_penalty);
     }
 
     fn retire(&mut self) -> u32 {
@@ -990,6 +932,7 @@ mod tests {
         ];
         let stats = Machine::new(MachineConfig::table_iv(SafetyConfig::Aos)).run(trace);
         assert_eq!(stats.violations, 1);
+        assert_eq!(stats.flushes, 1, "each raised exception flushes once");
     }
 
     #[test]
@@ -1030,6 +973,7 @@ mod tests {
         assert_eq!(stats.hbt_resizes, 1);
         assert_eq!(stats.hbt_ways, 2);
         assert_eq!(stats.violations, 1, "the unplaceable store is counted");
+        assert_eq!(stats.flushes, 1);
     }
 
     #[test]
@@ -1102,7 +1046,6 @@ mod tests {
         assert_eq!(cfg.mispredict_penalty, SimConfig::MISPREDICT_PENALTY);
         assert_eq!(cfg.mcu.mcq_entries, SimConfig::MCQ_ENTRIES);
         assert_eq!(cfg.mcu.bwb_entries, SimConfig::BWB_ENTRIES);
-        assert_eq!(cfg.model, SimModel::Stage, "stage core is the default");
     }
 
     #[test]

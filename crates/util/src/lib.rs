@@ -25,6 +25,9 @@
 //!   ([`telemetry::Telemetry`] handle, fixed counter/gauge/histogram
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
 //!   pipeline stage records into.
+//! - [`testdir`] — [`TestDir`], the per-test scratch directory keyed by
+//!   test name and process id, so tests running in parallel never
+//!   share files.
 //!
 //! # Examples
 //!
@@ -44,8 +47,10 @@ pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod telemetry;
+pub mod testdir;
 
 pub use error::AosError;
 pub use telemetry::{Counter, Gauge, Hist, Telemetry, TelemetrySnapshot};
+pub use testdir::TestDir;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use stats::{geomean, mean, stdev, Histogram};

@@ -8,7 +8,7 @@
 //!
 //! - a fixed **taxonomy** of monotonic [`Counter`]s, high-watermark /
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
-//!   with a stable wire name (the `aos-campaign-report/v5` counter
+//!   with a stable wire name (the `aos-campaign-report/v6` counter
 //!   keys);
 //! - a [`Telemetry`] **handle** threaded through construction — no
 //!   globals, no locks on the hot path. A disabled handle is a `None`
@@ -135,21 +135,17 @@ pub enum Counter {
     /// Corpus frames that failed their CRC / framing check and were
     /// quarantined with a typed error instead of replayed.
     CorpusCrcFailures,
-    /// Cycles the stage-structured core could not dispatch because the
-    /// reorder buffer was full.
+    /// Cycles the core could not issue because the reorder buffer was
+    /// full.
     SimStallRob,
-    /// Cycles the stage-structured core could not dispatch because the
-    /// load/store queue was full.
+    /// Cycles the core could not issue because the load/store queue
+    /// was full.
     SimStallLsq,
-    /// Cycles the stage-structured core could not dispatch because the
-    /// memory check queue was full (MCU back-pressure, §V-B).
+    /// Cycles the core could not issue because the memory check queue
+    /// was full (MCU back-pressure, §V-B).
     SimStallMcq,
-    /// Loads the LSQ replayed after a same-window older store resolved
-    /// to an overlapping address (store→load ordering speculation).
-    SimReplays,
-    /// Pipeline flushes: precise-exception squashes of everything
-    /// younger than a faulting op at commit (delayed retirement,
-    /// §V-A).
+    /// Pipeline flushes: one per raised AOS exception, each
+    /// redirecting fetch (§IV-D).
     SimFlushes,
     /// Adversarial scenarios generated and replayed by the fuzzing
     /// engine (one per composed attack chain).
@@ -172,7 +168,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the taxonomy.
-    pub const COUNT: usize = 48;
+    pub const COUNT: usize = 47;
 
     /// Every counter, in cell (and wire) order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -216,7 +212,6 @@ impl Counter {
         Counter::SimStallRob,
         Counter::SimStallLsq,
         Counter::SimStallMcq,
-        Counter::SimReplays,
         Counter::SimFlushes,
         Counter::FuzzScenarios,
         Counter::FuzzSteps,
@@ -268,7 +263,6 @@ impl Counter {
         "sim_stall_rob",
         "sim_stall_lsq",
         "sim_stall_mcq",
-        "sim_replays",
         "sim_flushes",
         "fuzz_scenarios",
         "fuzz_steps",

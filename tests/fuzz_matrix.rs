@@ -18,7 +18,7 @@ use aos_fuzz::{
 };
 use aos_isa::SafetyConfig;
 use aos_ptrauth::PointerLayout;
-use aos_util::{Counter, Telemetry};
+use aos_util::{Counter, Telemetry, TestDir};
 use aos_workloads::profile::by_name;
 use aos_workloads::TraceGenerator;
 
@@ -200,7 +200,8 @@ fn golden_corpus_matches_regeneration_bit_for_bit() {
         // comparing against a file mid-write would be a false alarm.
         return;
     }
-    let tmp = std::env::temp_dir().join("aos-fuzz-golden-regen.aosc");
+    let dir = TestDir::new("fuzz-golden-regen").expect("test dir");
+    let tmp = dir.join("regen.aosc");
     bank_scenarios(
         WORKLOAD,
         SCALE,
@@ -216,5 +217,4 @@ fn golden_corpus_matches_regeneration_bit_for_bit() {
         fresh, golden,
         "banked corpus bytes drifted from generation"
     );
-    std::fs::remove_file(&tmp).ok();
 }

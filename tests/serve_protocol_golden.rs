@@ -17,7 +17,7 @@ use aos_serve::proto::{
     render_failed, render_ok, render_ready, render_rejected, render_shutdown,
 };
 use aos_serve::{execute, parse_request, JobSpec, ReplayMode};
-use aos_util::Telemetry;
+use aos_util::{Telemetry, TestDir};
 
 const GOLDEN: &str = "tests/golden/serve_protocol_v1.keys";
 const SCALE: f64 = 0.004;
@@ -58,11 +58,10 @@ fn run(spec: JobSpec) -> String {
 }
 
 /// Every protocol shape as a named, deterministically rendered line.
-fn shapes() -> Vec<(&'static str, String)> {
-    let dir = std::env::temp_dir().join("aos-serve-protocol-golden");
-    std::fs::create_dir_all(&dir).expect("temp dir");
+/// `test` names the calling test, which gets its own corpus directory.
+fn shapes(test: &str) -> Vec<(&'static str, String)> {
+    let dir = TestDir::new(test).expect("test dir");
     let corpus = dir.join("proto.aosc").display().to_string();
-    std::fs::remove_file(&corpus).ok();
 
     // Canonical request lines (their key order is the documented
     // spelling; each must parse).
@@ -131,7 +130,6 @@ fn shapes() -> Vec<(&'static str, String)> {
     let verify = run(JobSpec::CorpusVerify {
         path: corpus.clone(),
     });
-    std::fs::remove_file(&corpus).ok();
 
     let mut shapes = requests;
     shapes.extend([
@@ -199,7 +197,7 @@ fn shapes() -> Vec<(&'static str, String)> {
 #[test]
 fn serve_protocol_v1_key_sequences_match_golden() {
     let mut doc = String::new();
-    for (name, line) in shapes() {
+    for (name, line) in shapes("serve-protocol-serve_protocol_v1_key_sequences_match_golden") {
         doc.push_str("== ");
         doc.push_str(name);
         doc.push_str(" ==\n");
@@ -225,7 +223,7 @@ fn serve_protocol_v1_key_sequences_match_golden() {
 /// with the proto tag as its first key.
 #[test]
 fn every_shape_is_single_line_and_proto_tagged() {
-    for (name, line) in shapes() {
+    for (name, line) in shapes("serve-protocol-every_shape_is_single_line_and_proto_tagged") {
         assert!(!line.contains('\n'), "{name} spans lines: {line}");
         assert!(
             line.starts_with("{\"proto\":\"aos-serve/v1\""),
@@ -244,7 +242,7 @@ fn every_shape_is_single_line_and_proto_tagged() {
 /// without parsing nested JSON.
 #[test]
 fn ok_results_carry_digests() {
-    let shapes = shapes();
+    let shapes = shapes("serve-protocol-ok_results_carry_digests");
     let find = |name: &str| {
         &shapes
             .iter()

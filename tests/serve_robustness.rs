@@ -20,14 +20,13 @@
 //!   in-process batched pipeline (matching `stats_digest`).
 
 use std::io::{Cursor, Write};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use aos_core::experiment::{overlap, SystemUnderTest};
 use aos_isa::SafetyConfig;
 use aos_serve::{serve, stats_digest, ServeOptions, ServeSummary};
-use aos_util::{Counter, Gauge, Telemetry};
+use aos_util::{Counter, Gauge, Telemetry, TestDir};
 
 /// A writer the test can read back after the collector thread drops
 /// its clone.
@@ -69,11 +68,6 @@ fn response_for<'a>(output: &'a str, id: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no response for {id} in:\n{output}"))
 }
 
-fn temp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("aos-serve-robustness");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
-}
 
 #[test]
 fn full_queue_answers_rejected_with_retry_after() {
@@ -211,8 +205,8 @@ fn shutdown_and_eof_drain_all_accepted_jobs() {
 
 #[test]
 fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
-    let path = temp("quarantine.aosc");
-    std::fs::remove_file(&path).ok();
+    let dir = TestDir::new("serve-robustness-quarantine").expect("test dir");
+    let path = dir.join("quarantine.aosc");
     let path_str = path.display().to_string();
 
     // Record through the service, then corrupt the stored block.
@@ -263,13 +257,12 @@ fn corrupted_corpus_block_quarantines_and_the_service_keeps_serving() {
         telemetry.snapshot().counter(Counter::CorpusCrcFailures) >= 1,
         "the quarantine must be counted"
     );
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn service_replay_is_bit_identical_to_the_in_process_pipeline() {
-    let path = temp("identity.aosc");
-    std::fs::remove_file(&path).ok();
+    let dir = TestDir::new("serve-robustness-identity").expect("test dir");
+    let path = dir.join("identity.aosc");
     let path_str = path.display().to_string();
     let options = ServeOptions {
         workers: 1,
@@ -303,7 +296,6 @@ fn service_replay_is_bit_identical_to_the_in_process_pipeline() {
     );
     assert!(rep.contains(&format!("\"cycles\":{}", out.stats.cycles)));
     assert!(rep.contains(&format!("\"retired_ops\":{}", out.stats.retired_ops)));
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
