@@ -16,9 +16,8 @@ use aos_ptrauth::PointerLayout;
 use aos_util::{Counter, Gauge, Telemetry};
 use aos_workloads::TraceGenerator;
 
-use std::time::Duration;
-
 use crate::args::{scale_or, Parsed};
+use crate::corpus::ReplayMode;
 
 /// Failure classes, mapped to process exit codes by `main` (the
 /// contract `usage()` documents): a command that ran its gate and
@@ -146,19 +145,6 @@ USAGE:
   aos trace <workload> --out <path> [--system <s>] [--scale <f>]
                                             capture a trace to a file
   aos replay <path> [--system <s>]          replay a captured trace
-  aos serve [--socket <path>] [--queue <n>] [--workers <n>]
-            [--timeout-ms <n>] [--retries <n>] [--backoff-ms <n>]
-            [--retry-after-ms <n>] [--test-jobs true] [--telemetry true]
-                                            long-running job service:
-                                            newline-delimited JSON
-                                            (aos-serve/v1) on stdin/stdout,
-                                            or a Unix socket with --socket;
-                                            bounded queue (rejects answer
-                                            retry_after_ms), per-job
-                                            timeout + retries with
-                                            exponential backoff, panics
-                                            isolated per job, drains on
-                                            shutdown/EOF
   aos corpus record --out <path> --workloads <w1,w2,..>
                     [--systems <s1,s2,..>] [--scale <f>]
                                             record a workload x system grid
@@ -208,7 +194,7 @@ fn parse_policies(parsed: &Parsed) -> Result<Vec<Policy>, String> {
     Ok(policies)
 }
 
-fn parse_system(name: &str) -> Result<SafetyConfig, String> {
+pub(crate) fn parse_system(name: &str) -> Result<SafetyConfig, String> {
     match name.to_ascii_lowercase().as_str() {
         "baseline" => Ok(SafetyConfig::Baseline),
         "watchdog" => Ok(SafetyConfig::Watchdog),
@@ -219,6 +205,20 @@ fn parse_system(name: &str) -> Result<SafetyConfig, String> {
             "unknown system '{other}' (baseline, watchdog, pa, aos, pa+aos)"
         )),
     }
+}
+
+/// Parses a comma list of system names; an empty list is an error.
+fn parse_systems(list: &str) -> Result<Vec<SafetyConfig>, String> {
+    let systems = list
+        .split(',')
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .map(parse_system)
+        .collect::<Result<Vec<_>, _>>()?;
+    if systems.is_empty() {
+        return Err("empty system list".into());
+    }
+    Ok(systems)
 }
 
 fn find_workload(name: &str) -> Result<&'static aos_core::workloads::WorkloadProfile, String> {
@@ -427,7 +427,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
     if bool_flag(&parsed, "json") {
         println!(
-            "{{\n  \"schema\": \"aos-stats/v3\",\n  \"system\": \"{system}\",\n  \
+            "{{\n  \"schema\": \"aos-stats/v4\",\n  \"system\": \"{system}\",\n  \
              \"scale\": {scale},\n  \"workloads\": [{}],\n  \
              \"bwb_hit_rate\": {:.4},\n  \"mcq_peak_occupancy\": {},\n  \
              \"mcq_replays\": {},\n  \"hbt_migration_rows\": {},\n  \
@@ -1320,73 +1320,6 @@ pub fn workloads() -> Result<(), String> {
     Ok(())
 }
 
-/// `aos serve [--socket <path>] [--queue <n>] [--workers <n>]
-/// [--timeout-ms <n>] [--retries <n>] [--backoff-ms <n>]
-/// [--retry-after-ms <n>] [--test-jobs true] [--telemetry true]`.
-pub fn serve(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args).map_err(CliError::Usage)?;
-    let telemetry_on = bool_flag(&parsed, "telemetry");
-    let telemetry = if telemetry_on {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
-    let options = aos_serve::ServeOptions {
-        queue_capacity: match parsed.flag_or("queue", 16usize)? {
-            0 => return Err(CliError::Usage("--queue must be at least 1".into())),
-            n => n,
-        },
-        workers: match parsed.flag_or("workers", 2usize)? {
-            0 => return Err(CliError::Usage("--workers must be at least 1".into())),
-            n => n,
-        },
-        job_timeout: match parsed.flag_or("timeout-ms", 30_000u64)? {
-            0 => None, // 0 disables the per-job deadline
-            ms => Some(Duration::from_millis(ms)),
-        },
-        retries: parsed.flag_or("retries", 1u32)?,
-        backoff_base: Duration::from_millis(parsed.flag_or("backoff-ms", 50u64)?),
-        retry_after_ms: parsed.flag_or("retry-after-ms", 25u64)?,
-        test_jobs: bool_flag(&parsed, "test-jobs"),
-        telemetry: telemetry.clone(),
-    };
-    let summary = match parsed.flag("socket") {
-        #[cfg(unix)]
-        Some(path) => aos_serve::serve_unix(std::path::Path::new(path), &options),
-        #[cfg(not(unix))]
-        Some(_) => {
-            return Err(CliError::Usage(
-                "--socket requires a Unix platform; use stdio mode".into(),
-            ))
-        }
-        None => aos_serve::serve(std::io::stdin().lock(), std::io::stdout(), &options),
-    }
-    .map_err(|e| CliError::Usage(e.to_string()))?;
-    // The session report goes to stderr: stdout is the protocol
-    // stream.
-    eprintln!(
-        "aos-serve session: {} accepted, {} ok, {} failed ({} timed out, {} panicked), {} rejected, {} retries",
-        summary.accepted,
-        summary.succeeded,
-        summary.failed,
-        summary.timed_out,
-        summary.panicked,
-        summary.rejected,
-        summary.retried,
-    );
-    if telemetry_on {
-        let snap = telemetry.snapshot();
-        for counter in Counter::ALL {
-            let value = snap.counter(counter);
-            if value > 0 {
-                eprintln!("  {:<24} {value}", counter.name());
-            }
-        }
-        eprintln!("  {:<24} {}", Gauge::ServeQueueDepth.name(), snap.gauge(Gauge::ServeQueueDepth));
-    }
-    Ok(())
-}
-
 fn corpus_out_flag<'a>(parsed: &'a Parsed, name: &str) -> Result<&'a str, CliError> {
     parsed
         .flag(name)
@@ -1407,8 +1340,6 @@ pub fn corpus(args: &[String]) -> Result<(), CliError> {
     let action = parsed
         .positional(0)
         .ok_or_else(|| CliError::Usage("corpus requires record, replay or verify".into()))?;
-    // The CLI is single-threaded, so the corpus layer can record
-    // telemetry live (unlike the service's concurrent workers).
     let telemetry = if bool_flag(&parsed, "telemetry") {
         Telemetry::enabled()
     } else {
@@ -1417,25 +1348,21 @@ pub fn corpus(args: &[String]) -> Result<(), CliError> {
     match action {
         "record" => {
             let out = corpus_out_flag(&parsed, "out")?;
-            let workloads: Vec<String> = corpus_out_flag(&parsed, "workloads")?
+            let workloads = corpus_out_flag(&parsed, "workloads")?
                 .split(',')
                 .map(str::trim)
                 .filter(|s| !s.is_empty())
-                .map(str::to_string)
-                .collect();
-            for name in &workloads {
-                find_workload(name).map_err(CliError::Usage)?;
-            }
-            let systems = aos_serve::parse_systems(parsed.flag("systems").unwrap_or("aos"))
-                .map_err(|e| CliError::Usage(e.to_string()))?;
-            let spec = aos_serve::JobSpec::CorpusRecord {
-                path: out.to_string(),
-                workloads,
-                systems,
-                scale: scale(&parsed).map_err(CliError::Usage)?,
-            };
-            let result =
-                aos_serve::execute(&spec, &telemetry).map_err(|e| CliError::Usage(e.to_string()))?;
+                .map(find_workload)
+                .collect::<Result<Vec<_>, _>>()?;
+            let systems = parse_systems(parsed.flag("systems").unwrap_or("aos"))?;
+            let result = crate::corpus::record(
+                out,
+                &workloads,
+                &systems,
+                scale(&parsed).map_err(CliError::Usage)?,
+                &telemetry,
+            )
+            .map_err(|e| CliError::Usage(e.to_string()))?;
             println!("{result}");
             Ok(())
         }
@@ -1445,20 +1372,15 @@ pub fn corpus(args: &[String]) -> Result<(), CliError> {
                 .ok_or_else(|| CliError::Usage("replay requires a corpus path".into()))?;
             let entry = corpus_out_flag(&parsed, "entry")?;
             let mode = match parsed.flag("mode").unwrap_or("sim") {
-                "sim" => aos_serve::ReplayMode::Sim,
-                "lint" => aos_serve::ReplayMode::Lint,
+                "sim" => ReplayMode::Sim,
+                "lint" => ReplayMode::Lint,
                 other => {
                     return Err(CliError::Usage(format!(
                         "unknown mode '{other}' (sim, lint)"
                     )))
                 }
             };
-            let spec = aos_serve::JobSpec::CorpusReplay {
-                path: path.to_string(),
-                entry: entry.to_string(),
-                mode,
-            };
-            match aos_serve::execute(&spec, &telemetry) {
+            match crate::corpus::replay(path, entry, mode, &telemetry) {
                 Ok(result) => {
                     println!("{result}");
                     Ok(())
@@ -1598,10 +1520,7 @@ mod tests {
         let text = usage();
         assert!(text.contains("EXIT CODES"));
         assert!(text.contains("aos lint"));
-        // The service and corpus surfaces are documented, flags and all.
-        assert!(text.contains("aos serve"));
-        assert!(text.contains("--retry-after-ms"));
-        assert!(text.contains("--test-jobs"));
+        // The corpus surface is documented, flags and all.
         assert!(text.contains("aos corpus record"));
         assert!(text.contains("aos corpus replay"));
         assert!(text.contains("aos corpus verify"));
@@ -1677,22 +1596,6 @@ mod tests {
             "--scale", "0.002", "--mcq", "24,48", "--bwb", "64",
         ]))
         .is_ok());
-    }
-
-    #[test]
-    fn serve_flags_honor_the_usage_contract() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        for bad in [
-            &["--queue", "0"][..],
-            &["--workers", "0"],
-            &["--queue", "lots"],
-            &["--timeout-ms", "soon"],
-        ] {
-            assert!(
-                matches!(serve(&args(bad)), Err(CliError::Usage(_))),
-                "aos serve {bad:?} must be a usage error"
-            );
-        }
     }
 
     #[test]

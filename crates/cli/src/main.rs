@@ -15,7 +15,6 @@
 //! aos fig <11|14|15|16|17|18> [--scale f]   reproduce a paper figure
 //! aos pac [--allocations n] [--bits b] the Fig. 11 microbenchmark
 //! aos trace / aos replay               capture & replay µop traces
-//! aos serve [options]                  long-running NDJSON job service
 //! aos corpus record|replay|verify      persistent CRC-checked corpora
 //! aos params                           the Table IV machine
 //! aos workloads                        list the calibrated workloads
@@ -28,6 +27,7 @@ use std::process::ExitCode;
 
 mod args;
 mod commands;
+mod corpus;
 
 use commands::CliError;
 
@@ -54,7 +54,6 @@ fn main() -> ExitCode {
         "pac" => commands::pac(rest).map_err(CliError::from),
         "trace" => commands::trace(rest).map_err(CliError::from),
         "replay" => commands::replay(rest).map_err(CliError::from),
-        "serve" => commands::serve(rest),
         "corpus" => commands::corpus(rest),
         "params" => commands::params().map_err(CliError::from),
         "workloads" => commands::workloads().map_err(CliError::from),

@@ -4,7 +4,7 @@
 //! a cell list out across a scoped worker pool
 //! ([`aos_util::par::ordered_parallel_catch`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
-//! JSON report (`aos-campaign-report/v6`, with per-cell telemetry
+//! JSON report (`aos-campaign-report/v7`, with per-cell telemetry
 //! counter columns) so perf trajectories can be tracked across
 //! changes.
 //!
@@ -43,7 +43,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aos_sim::RunStats;
-use aos_util::guard::{run_guarded, Backoff, GuardOptions};
+use aos_util::guard::{run_guarded, GuardOptions};
+use aos_util::json;
 use aos_util::par::{effective_threads, ordered_parallel_map};
 use aos_workloads::WorkloadProfile;
 
@@ -339,7 +340,7 @@ impl CampaignReport {
         self.annotations.push((key.into(), value.into()));
     }
 
-    /// The `aos-campaign-report/v6` JSON document (schema documented
+    /// The `aos-campaign-report/v7` JSON document (schema documented
     /// in DESIGN.md §11 and pinned by `tests/report_schema_golden.rs`):
     /// campaign wall-clock, cell-health counters and cells/sec at the
     /// top, then one record per cell with its status, attempts,
@@ -349,7 +350,7 @@ impl CampaignReport {
     /// stable shape. Failed cells carry the captured error instead.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"aos-campaign-report/v6\",\n");
+        out.push_str("  \"schema\": \"aos-campaign-report/v7\",\n");
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"cells\": {},\n", self.results.len()));
         out.push_str(&format!("  \"completed\": {},\n", self.completed()));
@@ -368,7 +369,7 @@ impl CampaignReport {
             self.total_sim_cycles()
         ));
         for (key, value) in &self.annotations {
-            out.push_str(&format!("  \"{}\": {},\n", json_escape(key), value));
+            out.push_str(&format!("  \"{}\": {},\n", json::escape(key), value));
         }
         out.push_str("  \"results\": [\n");
         for (i, r) in self.results.iter().enumerate() {
@@ -385,7 +386,7 @@ impl CampaignReport {
                     output.stats.telemetry.to_json("    "),
                 ),
                 CellOutcome::Failed { error } => {
-                    format!("\"error\": \"{}\"", json_escape(error))
+                    format!("\"error\": \"{}\"", json::escape(error))
                 }
             };
             out.push_str(&format!(
@@ -410,25 +411,6 @@ impl CampaignReport {
     pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// enough for panic messages; keeps the report free of a JSON
-/// dependency.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The function a campaign invokes per cell. Shared (`Arc`) because a
@@ -525,7 +507,7 @@ fn run_cell_guarded(
     let guard = GuardOptions {
         timeout: options.cell_timeout,
         retries: options.retries,
-        backoff: Backoff::Linear(options.retry_backoff),
+        backoff: options.retry_backoff,
     };
     match run_guarded(work, &guard) {
         (Ok(output), attempts) => (CellOutcome::Completed(output), attempts),
@@ -591,7 +573,7 @@ mod tests {
         let mut report = run_campaign(&cells, &CampaignOptions::with_threads(2));
         report.annotate("note", "{\"tag\": \"smoke\"}");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v6\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));
         assert!(json.contains("\"cells\": 3"));
         assert!(json.contains("\"completed\": 3"));
         assert!(json.contains("\"failed\": 0"));
@@ -702,13 +684,5 @@ mod tests {
         let cell = &report.results[0];
         assert!(cell.is_failed());
         assert!(cell.error().unwrap().contains("timed out after"));
-    }
-
-    #[test]
-    fn json_escape_neutralizes_panic_payloads() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("say \"hi\"\n"), "say \\\"hi\\\"\\n");
-        assert_eq!(json_escape("back\\slash\t"), "back\\\\slash\\t");
-        assert_eq!(json_escape("bell\u{7}"), "bell\\u0007");
     }
 }

@@ -20,21 +20,9 @@
 
 use std::collections::BTreeSet;
 
+use aos_util::fnv::{fnv1a64, OFFSET_BASIS};
+
 use crate::differential::DifferentialOutcome;
-
-/// FNV-1a 64 offset basis.
-pub(crate) const fn fnv1a64_init() -> u64 {
-    0xcbf2_9ce4_8422_2325
-}
-
-/// One FNV-1a 64 round over `bytes`, continuing from `hash`.
-pub(crate) fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The set of coverage points a campaign has reached.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -50,13 +38,13 @@ impl CoverageMap {
 
     /// Adds one named point; `true` if it was new.
     pub fn insert(&mut self, point: &str) -> bool {
-        self.points.insert(fnv1a64(fnv1a64_init(), point.as_bytes()))
+        self.points.insert(fnv1a64(OFFSET_BASIS, point.as_bytes()))
     }
 
     /// Whether a named point has been reached.
     pub fn covers(&self, point: &str) -> bool {
         self.points
-            .contains(&fnv1a64(fnv1a64_init(), point.as_bytes()))
+            .contains(&fnv1a64(OFFSET_BASIS, point.as_bytes()))
     }
 
     /// Distinct points reached.
@@ -106,7 +94,7 @@ impl CoverageMap {
     /// Order-independent FNV-1a 64 fingerprint of the reached set.
     /// Equal iff the two maps cover exactly the same points.
     pub fn fingerprint(&self) -> u64 {
-        let mut hash = fnv1a64_init();
+        let mut hash = OFFSET_BASIS;
         for point in &self.points {
             hash = fnv1a64(hash, &point.to_le_bytes());
         }

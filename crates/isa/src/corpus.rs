@@ -2,8 +2,8 @@
 //!
 //! Traces were previously regenerated from seeds on every run; a
 //! corpus file banks them so campaigns replay *bit-identically* across
-//! sessions (corpus-driven regression suites, fuzzer finds, the
-//! `aos serve` replay jobs). The design goal is graceful degradation
+//! sessions (corpus-driven regression suites, fuzzer finds,
+//! `aos corpus replay`). The design goal is graceful degradation
 //! under hostile bytes: every structure that crosses the disk boundary
 //! is length-prefixed and CRC-32 checksummed, so a flipped bit or a
 //! truncated write surfaces as a typed [`AosError::Corruption`] that

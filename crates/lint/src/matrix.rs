@@ -11,10 +11,9 @@ use std::fmt::Write as _;
 
 use aos_isa::Op;
 use aos_ptrauth::PointerLayout;
-use aos_util::Telemetry;
+use aos_util::{json, Telemetry};
 
 use crate::policy::{Policy, PolicyReport, PolicyVerifier};
-use crate::report::json_escape;
 
 /// A single-pass scan over several policies at once.
 pub struct MatrixScan {
@@ -165,7 +164,7 @@ impl MatrixReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"schema\": \"aos-lint-matrix/v1\",\n");
-        let _ = writeln!(out, "  \"workload\": \"{}\",", json_escape(&self.workload));
+        let _ = writeln!(out, "  \"workload\": \"{}\",", json::escape(&self.workload));
         let _ = writeln!(out, "  \"scale\": {},", self.scale);
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
         let _ = writeln!(out, "  \"seeds\": [{}],", seeds.join(", "));
@@ -179,7 +178,7 @@ impl MatrixReport {
         out.push_str("  \"matrix\": [\n");
         for (e, entry) in self.entries.iter().enumerate() {
             out.push_str("    {\n");
-            let _ = writeln!(out, "      \"subject\": \"{}\",", json_escape(&entry.subject));
+            let _ = writeln!(out, "      \"subject\": \"{}\",", json::escape(&entry.subject));
             out.push_str("      \"verdicts\": {\n");
             for (p, policy) in self.policies.iter().enumerate() {
                 let _ = writeln!(out, "        \"{}\": {{", policy.name());

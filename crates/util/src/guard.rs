@@ -1,14 +1,13 @@
 //! Guarded execution of untrusted units of work.
 //!
-//! The campaign runner (PR 2) grew a protection stack — `catch_unwind`
-//! per attempt, an optional wall-clock watchdog, bounded retry with
-//! backoff — that the long-running service mode needs verbatim: a
-//! poisoned job must not take down the process, a hung job must not
-//! wedge a worker forever, and a transiently failing job deserves a
-//! bounded number of fresh attempts. This module is that stack,
-//! factored out of `aos-core::experiment::campaign` so both the
-//! campaign runner and `aos-serve` execute work through one audited
-//! implementation.
+//! The campaign runner runs every cell through this protection stack:
+//! `catch_unwind` per attempt (a poisoned cell must not take down the
+//! campaign), an optional wall-clock watchdog (a hung cell must not
+//! wedge a worker forever), and bounded retry with a linear backoff (a
+//! transiently failing cell deserves a bounded number of fresh
+//! attempts). It lives here, apart from
+//! `aos-core::experiment::campaign`, so the isolation argument is
+//! audited in one place.
 //!
 //! A unit of work is a plain `Fn() -> T` closure behind an [`Arc`]
 //! (shared because a timed-out attempt leaves a clone running on its
@@ -39,32 +38,6 @@ use crate::error::panic_message;
 /// abandoned clone without blocking the next attempt.
 pub type Work<T> = Arc<dyn Fn() -> T + Send + Sync>;
 
-/// How attempt `n` (1-based) waits before attempt `n + 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backoff {
-    /// `base * n` — the campaign runner's historical ramp.
-    Linear(Duration),
-    /// `base * 2^(n-1)` — the service's transient-failure ramp.
-    Exponential(Duration),
-}
-
-impl Backoff {
-    /// The sleep before the attempt after `attempt` failures.
-    pub fn delay(self, attempt: u32) -> Duration {
-        match self {
-            Backoff::Linear(base) => base * attempt,
-            Backoff::Exponential(base) => base * 2u32.saturating_pow(attempt.saturating_sub(1)),
-        }
-    }
-
-    /// Whether this backoff ever sleeps.
-    pub fn is_zero(self) -> bool {
-        match self {
-            Backoff::Linear(base) | Backoff::Exponential(base) => base.is_zero(),
-        }
-    }
-}
-
 /// The guard's knobs; the default is one attempt, no timeout.
 #[derive(Debug, Clone, Copy)]
 pub struct GuardOptions {
@@ -73,8 +46,16 @@ pub struct GuardOptions {
     pub timeout: Option<Duration>,
     /// Extra attempts after a failed one (0 = fail fast).
     pub retries: u32,
-    /// Sleep schedule between attempts.
-    pub backoff: Backoff,
+    /// Backoff base: failed attempt `n` (1-based) sleeps
+    /// `backoff * n` before attempt `n + 1`.
+    pub backoff: Duration,
+}
+
+impl GuardOptions {
+    /// The sleep before the attempt after `attempt` failures.
+    pub fn delay(&self, attempt: u32) -> Duration {
+        self.backoff * attempt
+    }
 }
 
 impl Default for GuardOptions {
@@ -82,7 +63,7 @@ impl Default for GuardOptions {
         Self {
             timeout: None,
             retries: 0,
-            backoff: Backoff::Linear(Duration::ZERO),
+            backoff: Duration::ZERO,
         }
     }
 }
@@ -127,8 +108,7 @@ impl std::error::Error for GuardError {}
 /// be cancelled, so a timed-out attempt is *abandoned*: it keeps
 /// running in the background and its eventual result is dropped with
 /// the disconnected channel. Callers own that trade-off (acceptable
-/// for campaign cells and service jobs, whose processes outlive any
-/// straggler or exit wholesale).
+/// for campaign cells, whose process exits when the campaign does).
 pub fn run_guarded<T: Send + 'static>(
     work: Work<T>,
     options: &GuardOptions,
@@ -146,7 +126,7 @@ pub fn run_guarded<T: Send + 'static>(
             Err(error) => {
                 last_error = error;
                 if attempt < max_attempts && !options.backoff.is_zero() {
-                    std::thread::sleep(options.backoff.delay(attempt));
+                    std::thread::sleep(options.delay(attempt));
                 }
             }
         }
@@ -244,16 +224,15 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedules_differ() {
+    fn backoff_ramps_linearly() {
         let base = Duration::from_millis(10);
-        assert_eq!(Backoff::Linear(base).delay(3), Duration::from_millis(30));
-        assert_eq!(
-            Backoff::Exponential(base).delay(3),
-            Duration::from_millis(40)
-        );
-        assert_eq!(Backoff::Exponential(base).delay(1), base);
-        assert!(Backoff::Linear(Duration::ZERO).is_zero());
-        assert!(!Backoff::Exponential(base).is_zero());
+        let options = GuardOptions {
+            backoff: base,
+            ..GuardOptions::default()
+        };
+        assert_eq!(options.delay(1), base);
+        assert_eq!(options.delay(3), Duration::from_millis(30));
+        assert_eq!(GuardOptions::default().delay(5), Duration::ZERO);
     }
 
     #[test]

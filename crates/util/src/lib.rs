@@ -19,8 +19,12 @@
 //!   crates converge to at subsystem boundaries.
 //! - [`guard`] — guarded execution of untrusted work
 //!   ([`guard::run_guarded`]: `catch_unwind` isolation, wall-clock
-//!   watchdog, bounded retry with linear or exponential backoff), the
-//!   protection stack shared by the campaign runner and `aos-serve`.
+//!   watchdog, bounded retry with linear backoff), the protection
+//!   stack under every campaign cell.
+//! - [`fnv`] — FNV-1a 64 ([`fnv::fnv1a64`]), the stable fingerprint
+//!   behind workload seeds, fuzzing digests and corpus replay digests.
+//! - [`json`] — [`json::escape`], the one JSON string escape the
+//!   hand-rolled report emitters share.
 //! - [`telemetry`] — the zero-cost-when-disabled metrics registry
 //!   ([`telemetry::Telemetry`] handle, fixed counter/gauge/histogram
 //!   taxonomy, mergeable [`telemetry::TelemetrySnapshot`]) that every
@@ -42,7 +46,9 @@
 //! ```
 
 pub mod error;
+pub mod fnv;
 pub mod guard;
+pub mod json;
 pub mod par;
 pub mod rng;
 pub mod stats;

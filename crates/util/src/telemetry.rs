@@ -8,7 +8,7 @@
 //!
 //! - a fixed **taxonomy** of monotonic [`Counter`]s, high-watermark /
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
-//!   with a stable wire name (the `aos-campaign-report/v6` counter
+//!   with a stable wire name (the `aos-campaign-report/v7` counter
 //!   keys);
 //! - a [`Telemetry`] **handle** threaded through construction — no
 //!   globals, no locks on the hot path. A disabled handle is a `None`
@@ -48,7 +48,7 @@ use std::sync::Arc;
 /// Monotonic event counters, one per instrumented pipeline event.
 ///
 /// The discriminant is the cell index; [`Counter::NAMES`] (same
-/// order) are the stable wire names used by the v4 campaign report
+/// order) are the stable wire names used by the campaign report
 /// and `aos stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -115,19 +115,6 @@ pub enum Counter {
     /// Refilled ops that degraded to the per-op fallback pull (≈ 0
     /// when every stage of the pipeline is batch-native).
     BatchFallbackOps,
-    /// Jobs the service accepted into its bounded queue.
-    ServeJobsAccepted,
-    /// Jobs the service rejected with a retry-after backpressure
-    /// reply because the queue was full.
-    ServeJobsRejected,
-    /// Jobs that needed at least one retry before completing or
-    /// finally failing.
-    ServeJobsRetried,
-    /// Jobs whose every attempt exceeded the per-job deadline.
-    ServeJobsTimedOut,
-    /// Jobs whose every attempt panicked (isolated by the guard; the
-    /// service kept serving).
-    ServeJobsPanicked,
     /// Corpus frames written (entry headers, op blocks, trailers).
     CorpusBlocksWritten,
     /// Corpus frames read and CRC-validated.
@@ -168,7 +155,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the taxonomy.
-    pub const COUNT: usize = 47;
+    pub const COUNT: usize = 42;
 
     /// Every counter, in cell (and wire) order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -201,11 +188,6 @@ impl Counter {
         Counter::LintDiagnostics,
         Counter::BatchOpsRefilled,
         Counter::BatchFallbackOps,
-        Counter::ServeJobsAccepted,
-        Counter::ServeJobsRejected,
-        Counter::ServeJobsRetried,
-        Counter::ServeJobsTimedOut,
-        Counter::ServeJobsPanicked,
         Counter::CorpusBlocksWritten,
         Counter::CorpusBlocksRead,
         Counter::CorpusCrcFailures,
@@ -252,11 +234,6 @@ impl Counter {
         "lint_diagnostics",
         "batch_ops_refilled",
         "batch_fallback_ops",
-        "serve_jobs_accepted",
-        "serve_jobs_rejected",
-        "serve_jobs_retried",
-        "serve_jobs_timed_out",
-        "serve_jobs_panicked",
         "corpus_blocks_written",
         "corpus_blocks_read",
         "corpus_crc_failures",
@@ -286,22 +263,17 @@ pub enum Gauge {
     McqPeakOccupancy,
     /// Final HBT associativity (ways).
     HbtWays,
-    /// Peak depth of the service's bounded job queue — the MCQ
-    /// occupancy signal applied to the repo's own deployment shape.
-    ServeQueueDepth,
 }
 
 impl Gauge {
     /// Number of gauges in the taxonomy.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
 
     /// Every gauge, in cell (and wire) order.
-    pub const ALL: [Gauge; Self::COUNT] =
-        [Gauge::McqPeakOccupancy, Gauge::HbtWays, Gauge::ServeQueueDepth];
+    pub const ALL: [Gauge; Self::COUNT] = [Gauge::McqPeakOccupancy, Gauge::HbtWays];
 
     /// Stable wire names, in the same order as [`Gauge::ALL`].
-    pub const NAMES: [&'static str; Self::COUNT] =
-        ["mcq_peak_occupancy", "hbt_ways", "serve_queue_depth"];
+    pub const NAMES: [&'static str; Self::COUNT] = ["mcq_peak_occupancy", "hbt_ways"];
 
     /// The gauge's stable wire name.
     pub fn name(self) -> &'static str {
@@ -576,7 +548,7 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// The snapshot as a JSON object (the v4 report's per-cell
+    /// The snapshot as a JSON object (the campaign report's per-cell
     /// `telemetry` value). `indent` is the prefix for nested lines;
     /// the opening brace is not indented so the object can sit after
     /// a key.

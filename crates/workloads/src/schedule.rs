@@ -9,6 +9,7 @@
 
 use aos_heap::{HeapAllocator, HeapConfig};
 use aos_heap::profile::UsageProfile;
+use aos_util::fnv::{fnv1a64, OFFSET_BASIS};
 use aos_util::rng::{DiscreteTable, Xoshiro256StarStar};
 use std::collections::VecDeque;
 
@@ -83,13 +84,10 @@ pub fn run_full_schedule(profile: &WorkloadProfile, scale: f64) -> UsageProfile 
     *heap.profile()
 }
 
-/// Stable tiny hash so each benchmark gets its own deterministic
-/// stream.
+/// FNV-1a 64 of the profile name, so each benchmark gets its own
+/// deterministic stream.
 pub(crate) fn hash_name(name: &str) -> u64 {
-    name.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        })
+    fnv1a64(OFFSET_BASIS, name.as_bytes())
 }
 
 #[cfg(test)]
