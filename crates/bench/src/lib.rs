@@ -1,5 +1,6 @@
 //! Shared plumbing for the reproduction binaries (`src/bin/fig*.rs`,
-//! `src/bin/table*.rs`) and the Criterion benchmarks (`benches/`).
+//! `src/bin/table*.rs`). Simulator performance is measured by the
+//! standalone `benchmark/` package, not here.
 //!
 //! Every table and figure of the paper's evaluation has a dedicated
 //! binary that prints the measured reproduction next to the paper's

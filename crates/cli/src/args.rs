@@ -45,6 +45,28 @@ impl Parsed {
             .map(|(_, v)| v.as_str())
     }
 
+    /// Rejects the first flag whose `--name` does not appear in
+    /// `documented` — a subcommand's usage lines — so a typo or a
+    /// removed flag fails instead of silently running with defaults.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown flag.
+    pub fn reject_undocumented(&self, documented: &str) -> Result<(), String> {
+        let known: Vec<&str> = documented
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect();
+        match self
+            .flags
+            .iter()
+            .find(|(name, _)| !known.contains(&name.as_str()))
+        {
+            Some((name, _)) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
+    }
+
     /// A flag parsed to a type, with a default when absent.
     ///
     /// # Errors
@@ -106,6 +128,21 @@ mod tests {
         assert_eq!(p.flag("system"), Some("aos"));
         assert_eq!(p.positional(1), None);
         assert_eq!(p.flag("missing"), None);
+    }
+
+    #[test]
+    fn undocumented_flags_are_rejected() {
+        let usage = "  aos run <workload> [--system <s>] [--scale <f>] [--json]\n";
+        let ok = Parsed::parse(&argv(&["gcc", "--scale", "0.1", "--json", "true"])).unwrap();
+        assert!(ok.reject_undocumented(usage).is_ok());
+        let typo = Parsed::parse(&argv(&["gcc", "--sclae", "0.1"])).unwrap();
+        assert_eq!(
+            typo.reject_undocumented(usage).unwrap_err(),
+            "unknown flag --sclae"
+        );
+        // A flag name that is only a prefix of a documented one is unknown.
+        let prefix = Parsed::parse(&argv(&["--sys", "aos"])).unwrap();
+        assert!(prefix.reject_undocumented(usage).is_err());
     }
 
     #[test]

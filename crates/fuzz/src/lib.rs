@@ -30,10 +30,9 @@
 //!   static policies (one [`aos_lint::MatrixScan`] pass) and the
 //!   finding classification;
 //! - [`coverage`] — the campaign coverage map (step kinds × policy
-//!   rules × dynamic verdicts) that feeds the engine's
-//!   coverage-guided scheduler;
+//!   rules × dynamic verdicts) every campaign observes and reports;
 //! - [`engine`] — the budgeted campaign driver, corpus banking, and
-//!   the `aos-fuzz-report/v1` JSON emitter.
+//!   the `aos-fuzz-report/v2` JSON emitter.
 
 pub mod coverage;
 pub mod differential;

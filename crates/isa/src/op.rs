@@ -36,8 +36,8 @@ pub enum Op {
         pc: u64,
         /// Resolved direction.
         taken: bool,
-        /// Whether the (trace-replayed) predictor missed it; ignored
-        /// when the machine runs its own L-TAGE.
+        /// Whether the predictor missed it; the machine replays this
+        /// flag, drawn at the profile's calibrated miss rate.
         mispredicted: bool,
     },
     /// Data load through a (possibly signed) pointer.

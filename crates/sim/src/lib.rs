@@ -20,8 +20,9 @@
 //!   issue stall), in-order retirement that holds a checked op at the
 //!   ROB head until its bounds check succeeds (delayed retirement,
 //!   paper §V-B), and AOS exceptions raised when the check fails,
-//!   each charged as one pipeline flush;
-//! - [`tage`] — the optional in-simulator L-TAGE branch predictor.
+//!   each charged as one pipeline flush. Branch mispredictions replay
+//!   the trace's flags, which the generator draws at each profile's
+//!   calibrated L-TAGE miss rate.
 //!
 //! The model is not RTL: it reproduces the throughput effects (extra
 //! µops, metadata cache pressure, delayed retirement, crypto latency)
@@ -50,8 +51,7 @@
 pub mod cache;
 pub mod hierarchy;
 pub mod machine;
-pub mod tage;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use hierarchy::{MemoryHierarchy, TrafficStats};
-pub use machine::{BranchModel, Machine, MachineConfig, RunStats, SimConfig};
+pub use machine::{Machine, MachineConfig, RunStats, SimConfig};

@@ -12,19 +12,6 @@ use aos_ptrauth::PointerLayout;
 
 use crate::cache::CacheStats;
 use crate::hierarchy::{MemoryHierarchy, TrafficStats};
-use crate::tage::{Tage, TageConfig};
-
-/// How branch outcomes are predicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BranchModel {
-    /// Replay the trace-provided misprediction flags (a gem5-style
-    /// trace run against the profile-calibrated L-TAGE accuracy).
-    #[default]
-    TraceProvided,
-    /// Run the in-simulator L-TAGE; mispredictions emerge from the
-    /// predictor's actual behaviour on the branch stream.
-    Tage,
-}
 
 /// The named Table IV core-geometry constants. `table_iv`, the
 /// `describe()` dump, and the geometry tests all read these, so an
@@ -77,8 +64,6 @@ pub struct MachineConfig {
     pub aos_enabled: bool,
     /// Background migration bandwidth during gradual resize.
     pub migration_rows_per_cycle: u64,
-    /// Branch prediction mode.
-    pub branch_model: BranchModel,
     /// Whether to record pipeline telemetry (MCU/BWB/HBT event
     /// counters). Disabled handles cost one branch per event and the
     /// simulated behaviour is identical either way.
@@ -113,7 +98,6 @@ impl MachineConfig {
             hbt: HbtConfig::default(),
             aos_enabled: config.uses_aos(),
             migration_rows_per_cycle: SimConfig::MIGRATION_ROWS_PER_CYCLE,
-            branch_model: BranchModel::default(),
             telemetry: false,
             event_skip: true,
         }
@@ -304,8 +288,6 @@ pub struct Machine {
     /// Completion time of the most recent *chained* load — the running
     /// pointer-traversal dependence.
     last_chain_complete: u64,
-    /// The L-TAGE instance, when `branch_model` is `Tage`.
-    tage: Option<Tage>,
     /// The registry handle shared with the MCU, BWB and HBT.
     telemetry: aos_util::Telemetry,
     /// `AOS_SIM_DEBUG` presence, sampled once at construction — the
@@ -348,10 +330,6 @@ impl Machine {
             mcu_events: Vec::new(),
             bounds_lines: Vec::new(),
             last_chain_complete: 0,
-            tage: match config.branch_model {
-                BranchModel::Tage => Some(Tage::new(TageConfig::default())),
-                BranchModel::TraceProvided => None,
-            },
             debug: std::env::var_os("AOS_SIM_DEBUG").is_some(),
             telemetry,
             config,
@@ -699,20 +677,8 @@ impl Machine {
             } else {
                 self.now + op.exec_latency()
             };
-            if let Op::Branch {
-                pc,
-                taken,
-                mispredicted,
-            } = op
-            {
-                let missed = match &mut self.tage {
-                    Some(tage) => {
-                        let prediction = tage.predict(pc);
-                        tage.update(pc, taken, prediction)
-                    }
-                    None => mispredicted,
-                };
-                if missed {
+            if let Op::Branch { mispredicted, .. } = op {
+                if mispredicted {
                     if self.prev_cycle_stalled {
                         // The front end was already blocked, so the
                         // wrong path never issued (§IX-A back-pressure
@@ -1046,32 +1012,6 @@ mod tests {
         assert_eq!(cfg.mispredict_penalty, SimConfig::MISPREDICT_PENALTY);
         assert_eq!(cfg.mcu.mcq_entries, SimConfig::MCQ_ENTRIES);
         assert_eq!(cfg.mcu.bwb_entries, SimConfig::BWB_ENTRIES);
-    }
-
-    #[test]
-    fn tage_mode_predicts_biased_branches_well() {
-        // A biased branch stream: the emergent L-TAGE should charge
-        // far fewer mispredictions than the trace's pessimistic flags.
-        let trace: Vec<Op> = (0..20_000)
-            .map(|i| Op::Branch {
-                pc: 0x2000 + (i % 8) * 4,
-                taken: true,
-                mispredicted: i % 10 == 0, // replay mode would charge 10%
-            })
-            .collect();
-        let mut replay_cfg = MachineConfig::table_iv(SafetyConfig::Baseline);
-        replay_cfg.branch_model = BranchModel::TraceProvided;
-        let replay = Machine::new(replay_cfg).run(trace.clone());
-        let mut tage_cfg = MachineConfig::table_iv(SafetyConfig::Baseline);
-        tage_cfg.branch_model = BranchModel::Tage;
-        let tage = Machine::new(tage_cfg).run(trace);
-        let replay_missed = replay.charged_mispredicts + replay.waived_mispredicts;
-        let tage_missed = tage.charged_mispredicts + tage.waived_mispredicts;
-        assert!(
-            tage_missed * 10 < replay_missed,
-            "L-TAGE learns the bias: {tage_missed} vs {replay_missed}"
-        );
-        assert!(tage.cycles < replay.cycles);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: the offline build-and-test cycle every change must pass.
 #
-# Works with no network access — proptest/criterion resolve to the
-# shims vendored under vendor/ (see DESIGN.md §3).
+# Works with no network access — proptest resolves to the shim
+# vendored under vendor/ (see DESIGN.md §3).
 #
-# Usage: scripts/tier1.sh [--with-smoke]
-#   --with-smoke  also run a scaled parallel campaign and emit
-#                 BENCH_campaign.json at the repo root.
+# Usage: scripts/tier1.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -60,14 +58,6 @@ echo "== tier-1: MCU geometry sweep smoke =="
 cargo run -q --release -p aos-cli -- ablate \
     --scale 0.002 --mcq 24,48 --bwb 64 >/dev/null
 
-echo "== tier-1: batched pipeline smoke =="
-# The streaming bench asserts bit-identical RunStats and telemetry
-# across the materialized, per-op and batched pipeline shapes on every
-# run — a tiny single-rep pass makes those equivalence asserts part of
-# the gate without the cost of the full artifact run.
-cargo run -q --release -p aos-bench --bin streaming_bench -- \
-    --scale 0.004 --reps 1 --out "${TMPDIR:-/tmp}/aos_batch_smoke.json" >/dev/null
-
 # Hardened crates must not grow new unwrap() on input-reachable paths,
 # the streaming pipeline must not regress into collect-then-iterate
 # (needless_collect re-materializes traces the refactor made lazy),
@@ -97,31 +87,6 @@ if command -v cargo-llvm-cov >/dev/null 2>&1; then
         echo "coverage run failed (report-only, not fatal)"
 else
     echo "== tier-1: cargo-llvm-cov not installed, skipping coverage report =="
-fi
-
-if [[ "${1:-}" == "--with-smoke" ]]; then
-    echo "== campaign smoke: SPEC2006 x 5 systems, scaled =="
-    cargo run -q --release -p aos-bench --bin campaign_smoke -- \
-        --scale 0.01 --out BENCH_campaign.json
-    # Streaming smoke: a 10x-longer window than the default smoke run.
-    # Viable in CI memory precisely because no cell materializes its
-    # trace — peak buffered trace stays O(window) per worker.
-    echo "== streaming smoke: campaign at 10x window scale =="
-    cargo run -q --release -p aos-bench --bin campaign_smoke -- \
-        --scale 0.1 --out BENCH_campaign_long.json
-    echo "== streaming bench: materialized / streaming / batched pipeline =="
-    # Snapshot the committed artifact first so the regression note
-    # below can compare against it after the file is overwritten.
-    prev_bench="${TMPDIR:-/tmp}/aos_bench_prev.json"
-    git show HEAD:BENCH_streaming.json >"$prev_bench" 2>/dev/null || prev_bench=""
-    cargo run -q --release -p aos-bench --bin streaming_bench -- \
-        --scale 0.02 --out BENCH_streaming.json
-    echo "== bench regression note: sim-cycles/sec vs committed baseline (report-only) =="
-    if [[ -n "$prev_bench" ]] && command -v python3 >/dev/null 2>&1; then
-        python3 scripts/bench_note.py "$prev_bench" BENCH_streaming.json || true
-    else
-        echo "no committed BENCH_streaming.json (or no python3) to compare against"
-    fi
 fi
 
 echo "tier-1 OK"

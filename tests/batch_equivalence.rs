@@ -29,40 +29,51 @@ const SCALE: f64 = 0.004;
 /// per-op path never refills a batch, so they stay zero there.
 const BATCH_COUNTERS: [Counter; 2] = [Counter::BatchOpsRefilled, Counter::BatchFallbackOps];
 
-/// All five systems: per-op metered, in-thread batched (via the
-/// adaptive runner on a single-core host it is exactly that shape),
-/// and forced threaded overlap all produce bit-identical stats and
-/// telemetry, and the batched paths prove they ran batch-native.
+/// All five systems on hmmer, and AOS on gcc, mcf and omnetpp:
+/// per-op metered, in-thread batched (via the adaptive runner on a
+/// single-core host it is exactly that shape), and forced threaded
+/// overlap all produce bit-identical stats and telemetry, and the
+/// batched paths prove they ran batch-native.
 #[test]
 fn batched_runs_are_bit_identical_across_all_five_systems() {
-    let profile = by_name("hmmer").unwrap();
-    for system in SafetyConfig::ALL {
+    let cells = SafetyConfig::ALL
+        .map(|system| ("hmmer", system))
+        .into_iter()
+        .chain(["gcc", "mcf", "omnetpp"].map(|name| (name, SafetyConfig::Aos)));
+    for (name, system) in cells {
+        let profile = by_name(name).unwrap();
         let sut = SystemUnderTest::scaled(system, SCALE).with_telemetry(true);
         let per_op = run_metered(profile, &sut);
         for (shape, batched) in [
             ("adaptive", run_overlapped(profile, &sut)),
             ("threaded", run_overlapped_threaded(profile, &sut)),
         ] {
-            assert_eq!(batched.trace_ops, per_op.trace_ops, "{system}/{shape}");
+            assert_eq!(
+                batched.trace_ops, per_op.trace_ops,
+                "{name}/{system}/{shape}"
+            );
             assert_eq!(
                 batched.stats.without_telemetry(),
                 per_op.stats.without_telemetry(),
-                "{system}/{shape}: batching changed the simulation"
+                "{name}/{system}/{shape}: batching changed the simulation"
             );
             assert_eq!(
-                batched.stats.telemetry.with_counters_zeroed(&BATCH_COUNTERS),
+                batched
+                    .stats
+                    .telemetry
+                    .with_counters_zeroed(&BATCH_COUNTERS),
                 per_op.stats.telemetry.with_counters_zeroed(&BATCH_COUNTERS),
-                "{system}/{shape}: batching changed the telemetry"
+                "{name}/{system}/{shape}: batching changed the telemetry"
             );
             assert_eq!(
                 batched.stats.telemetry.counter(Counter::BatchOpsRefilled),
                 batched.trace_ops,
-                "{system}/{shape}: every op must arrive through a refill"
+                "{name}/{system}/{shape}: every op must arrive through a refill"
             );
             assert_eq!(
                 batched.stats.telemetry.counter(Counter::BatchFallbackOps),
                 0,
-                "{system}/{shape}: the generator is batch-native"
+                "{name}/{system}/{shape}: the generator is batch-native"
             );
             assert_eq!(
                 per_op.stats.telemetry.counter(Counter::BatchOpsRefilled),

@@ -17,7 +17,7 @@ use aos_util::{Counter, Gauge};
 use aos_workloads::profile::by_name;
 use aos_workloads::TraceGenerator;
 
-const PROFILES: [&str; 3] = ["hmmer", "gcc", "omnetpp"];
+const PROFILES: [&str; 4] = ["hmmer", "gcc", "mcf", "omnetpp"];
 const SCALE: f64 = 0.004;
 
 /// Streaming vs materialized, telemetry on: the full `RunStats`
