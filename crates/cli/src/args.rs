@@ -11,11 +11,15 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Parses `argv`. Every `--flag` must be followed by a value.
+    /// Parses `argv`. Every `--flag` must be followed by a value, and a
+    /// value never starts with `--`: `--json --scale 0.01` would
+    /// otherwise read `--scale` as the value of `--json` and drop the
+    /// scale. Single-dash values such as `-0.5` stay values.
     ///
     /// # Errors
     ///
-    /// Returns a message when a flag has no value.
+    /// Returns a message when a flag has no value or is followed by
+    /// another flag.
     pub fn parse(argv: &[String]) -> Result<Self, String> {
         let mut parsed = Parsed::default();
         let mut it = argv.iter();
@@ -24,6 +28,9 @@ impl Parsed {
                 let value = it
                     .next()
                     .ok_or_else(|| format!("--{name} requires a value"))?;
+                if value.starts_with("--") {
+                    return Err(format!("--{name} requires a value, got {value}"));
+                }
                 parsed.flags.push((name.to_string(), value.clone()));
             } else {
                 parsed.positionals.push(arg.clone());
@@ -132,7 +139,7 @@ mod tests {
 
     #[test]
     fn undocumented_flags_are_rejected() {
-        let usage = "  aos run <workload> [--system <s>] [--scale <f>] [--json]\n";
+        let usage = "  aos run <workload> [--system <s>] [--scale <f>] [--json true]\n";
         let ok = Parsed::parse(&argv(&["gcc", "--scale", "0.1", "--json", "true"])).unwrap();
         assert!(ok.reject_undocumented(usage).is_ok());
         let typo = Parsed::parse(&argv(&["gcc", "--sclae", "0.1"])).unwrap();
@@ -148,6 +155,14 @@ mod tests {
     #[test]
     fn flag_requires_value() {
         assert!(Parsed::parse(&argv(&["--scale"])).is_err());
+        assert_eq!(
+            Parsed::parse(&argv(&["mcf", "--json", "--scale", "0.01"])).unwrap_err(),
+            "--json requires a value, got --scale"
+        );
+        // A single-dash value is a value (scale validation rejects it
+        // later), not a flag.
+        let negative = Parsed::parse(&argv(&["--scale", "-0.5"])).unwrap();
+        assert_eq!(negative.flag("scale"), Some("-0.5"));
     }
 
     #[test]

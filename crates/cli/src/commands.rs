@@ -1,6 +1,5 @@
 //! The CLI subcommands.
 
-use aos_bench::reports;
 use aos_core::experiment::campaign::{matrix, run_campaign, CampaignOptions};
 use aos_core::experiment::{run as run_experiment, SystemUnderTest};
 use aos_core::isa::SafetyConfig;
@@ -18,6 +17,7 @@ use aos_workloads::TraceGenerator;
 
 use crate::args::{scale_or, Parsed};
 use crate::corpus::ReplayMode;
+use crate::reports;
 
 /// Failure classes, mapped to process exit codes by `main` (the
 /// contract `usage()` documents): a command that ran its gate and
@@ -57,7 +57,7 @@ aos — the AOS (MICRO 2020) reproduction
 
 USAGE:
   aos attacks                               stage the §VII attack gallery
-  aos run <workload> [--system <s>] [--scale <f>] [--json]
+  aos run <workload> [--system <s>] [--scale <f>] [--json true]
          [--telemetry true]                 run one workload on one system
   aos compare <workload> [--scale <f>] [--threads <n>] [--telemetry true]
                                             all five systems, normalized
@@ -134,21 +134,24 @@ USAGE:
                                             policy flagging the clean trace
                                             exits 1
   aos table <1|2|3|4> [--scale <f>]         reproduce a paper table
-  aos fig <11|14|15|16|17|18> [--scale <f>] reproduce a paper figure
+  aos fig <11|14|15|16|17|18|realworld> [--scale <f>]
+                                            reproduce a paper figure, or
+                                            Fig. 14 over the real-world
+                                            models
   aos pac [--allocations <n>] [--bits <b>] [--live <n>]
                                             Fig. 11 microbenchmark + §VI
                                             collision study
-  aos trace <workload> --out <path> [--system <s>] [--scale <f>]
-                                            capture a trace to a file
-  aos replay <path> [--system <s>]          replay a captured trace
   aos corpus record --out <path> --workloads <w1,w2,..>
                     [--systems <s1,s2,..>] [--scale <f>]
                                             record a workload x system grid
                                             into a CRC-checked trace corpus
   aos corpus replay <path> --entry <name> [--mode sim|lint]
+                    [--system <s>]
                                             replay one recorded entry
                                             bit-identically (CRC-failing
-                                            blocks quarantine, exit 1)
+                                            blocks quarantine, exit 1);
+                                            --system overrides the
+                                            recorded system
   aos corpus verify <path>                  CRC-verify every entry; any
                                             quarantined entry exits 1
   aos params                                the Table IV machine parameters
@@ -183,8 +186,6 @@ pub fn dispatch(command: &str, args: &[String]) -> Result<(), CliError> {
         "table" => table(args).map_err(CliError::from),
         "fig" => fig(args).map_err(CliError::from),
         "pac" => pac(args).map_err(CliError::from),
-        "trace" => trace(args).map_err(CliError::from),
-        "replay" => replay(args).map_err(CliError::from),
         "corpus" => corpus(args),
         "params" => params(args).map_err(CliError::from),
         "workloads" => workloads(args).map_err(CliError::from),
@@ -542,13 +543,12 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
     );
     let report = run_campaign(&cells, &options);
     println!(
-        "{} cells on {} threads in {:.2}s ({:.2} cells/sec; {} completed, {} degraded, {} failed)",
+        "{} cells on {} threads in {:.2}s ({:.2} cells/sec; {} completed, {} failed)",
         report.results.len(),
         report.threads,
         report.wall.as_secs_f64(),
         report.cells_per_sec(),
         report.completed(),
-        report.degraded(),
         report.failed()
     );
     if let Some(out) = parsed.flag("out") {
@@ -1231,7 +1231,7 @@ pub fn fig(args: &[String]) -> Result<(), String> {
     let parsed = parse_args("fig", args)?;
     let which = parsed
         .positional(0)
-        .ok_or_else(|| "fig requires a number (11, 14-18)".to_string())?;
+        .ok_or_else(|| "fig requires a number (11, 14-18) or realworld".to_string())?;
     let scale = scale(&parsed)?;
     let text = match which {
         "11" => reports::fig11(scale),
@@ -1240,7 +1240,12 @@ pub fn fig(args: &[String]) -> Result<(), String> {
         "16" => reports::fig16(scale),
         "17" => reports::fig17(scale),
         "18" => reports::fig18(scale),
-        other => return Err(format!("no figure '{other}' (11, 14, 15, 16, 17, 18)")),
+        "realworld" => reports::realworld_exec_time(scale),
+        other => {
+            return Err(format!(
+                "no figure '{other}' (11, 14, 15, 16, 17, 18, realworld)"
+            ))
+        }
     };
     print!("{text}");
     Ok(())
@@ -1279,67 +1284,6 @@ collision study for {live} simultaneously-live chunks (paper §VI):"
         );
         println!("  implied HBT resizes {}", s.implied_resizes);
     }
-    Ok(())
-}
-
-/// `aos trace <workload> [--system s] [--scale f] --out <path>`.
-pub fn trace(args: &[String]) -> Result<(), String> {
-    let parsed = parse_args("trace", args)?;
-    let name = parsed
-        .positional(0)
-        .ok_or_else(|| "trace requires a workload name".to_string())?;
-    let workload = find_workload(name)?;
-    let system = parse_system(parsed.flag("system").unwrap_or("aos"))?;
-    let scale = scale(&parsed)?;
-    let out = parsed
-        .flag("out")
-        .ok_or_else(|| "trace requires --out <path>".to_string())?;
-    let generator = aos_core::workloads::TraceGenerator::new(workload, system, scale);
-    let file = std::fs::File::create(out)
-        .map_err(|e| format!("cannot create '{out}': {e}"))?;
-    let metadata = format!("workload={name} system={system} scale={scale}");
-    let count = aos_core::isa::codec::write_trace(
-        std::io::BufWriter::new(file),
-        &metadata,
-        generator,
-    )
-    .map_err(|e| format!("write failed: {e}"))?;
-    println!("wrote {count} ops to {out} ({metadata})");
-    Ok(())
-}
-
-/// `aos replay <path> [--system s]`.
-pub fn replay(args: &[String]) -> Result<(), String> {
-    let parsed = parse_args("replay", args)?;
-    let path = parsed
-        .positional(0)
-        .ok_or_else(|| "replay requires a trace path".to_string())?;
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open '{path}': {e}"))?;
-    let (metadata, ops) = aos_core::isa::codec::read_trace(std::io::BufReader::new(file))
-        .map_err(|e| format!("bad trace: {e}"))?;
-    // The machine config defaults to the system named in the metadata;
-    // --system overrides (e.g. replay an AOS trace on a
-    // no-optimizations machine).
-    let system = match parsed.flag("system") {
-        Some(s) => parse_system(s)?,
-        None => metadata
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix("system="))
-            .map(parse_system)
-            .transpose()?
-            .unwrap_or(SafetyConfig::Aos),
-    };
-    let mut machine =
-        aos_core::sim::Machine::new(SystemUnderTest::standard(system).machine_config());
-    let stats = machine.run(ops);
-    println!("replayed '{metadata}' on a {system} machine:");
-    println!("cycles {:>12}   ops {:>10}   ipc {:.3}", stats.cycles, stats.retired_ops, stats.ipc());
-    println!(
-        "violations {} resizes {} traffic {} B",
-        stats.violations,
-        stats.hbt_resizes,
-        stats.traffic.total_bytes()
-    );
     Ok(())
 }
 
@@ -1385,7 +1329,7 @@ fn corpus_out_flag<'a>(parsed: &'a Parsed, name: &str) -> Result<&'a str, CliErr
 /// ```text
 /// aos corpus record --out <path> --workloads <w1,w2,..>
 ///        [--systems <s1,s2,..>] [--scale <f>]
-/// aos corpus replay <path> --entry <name> [--mode sim|lint]
+/// aos corpus replay <path> --entry <name> [--mode sim|lint] [--system <s>]
 /// aos corpus verify <path>
 /// ```
 pub fn corpus(args: &[String]) -> Result<(), CliError> {
@@ -1429,7 +1373,8 @@ pub fn corpus(args: &[String]) -> Result<(), CliError> {
                     )))
                 }
             };
-            match crate::corpus::replay(path, entry, mode, &telemetry) {
+            let system = parsed.flag("system").map(parse_system).transpose()?;
+            match crate::corpus::replay(path, entry, mode, system, &telemetry) {
                 Ok(result) => {
                     println!("{result}");
                     Ok(())
@@ -1606,8 +1551,6 @@ mod tests {
             ("table", &["2", "--scael", "0.01"]),
             ("fig", &["14", "--threads", "2"]),
             ("pac", &["--alloc", "10"]),
-            ("trace", &["gcc", "--out", "t", "--fmt", "b"]),
-            ("replay", &["t", "--scale", "0.1"]),
             ("corpus", &["verify", "c.aosc", "--telemetry", "true"]),
             ("params", &["--verbose", "true"]),
             ("workloads", &["--suite", "all"]),
@@ -1631,8 +1574,41 @@ mod tests {
         for action in ["record", "replay", "verify"] {
             assert!(corpus.contains(&format!("aos corpus {action}")));
         }
-        assert!(!command_usage("replay").contains("corpus"));
+        assert!(corpus.contains("--system <s>"));
+        assert!(command_usage("replay").is_empty());
         assert!(command_usage("serve").is_empty());
+    }
+
+    #[test]
+    fn trace_and_replay_are_unknown_commands() {
+        // Traces are captured and replayed through `aos corpus` only.
+        for command in ["trace", "replay"] {
+            assert_eq!(
+                dispatch(command, &["mcf".to_string()]),
+                Err(CliError::Usage(format!("unknown command '{command}'")))
+            );
+        }
+    }
+
+    #[test]
+    fn a_flag_never_takes_the_next_flag_as_its_value() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // Read as the value of `--json`, `--scale` would be lost and
+        // the run would go ahead at scale 1.0.
+        assert_eq!(
+            dispatch("run", &args(&["mcf", "--json", "--scale", "0.01"])),
+            Err(CliError::Usage(
+                "--json requires a value, got --scale".to_string()
+            ))
+        );
+        // A single-dash value is a value: it reaches scale validation.
+        match dispatch("run", &args(&["mcf", "--scale", "-0.5"])) {
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains("must be in (0, 1]"), "{message}")
+            }
+            other => panic!("--scale -0.5 must fail scale validation, got {other:?}"),
+        }
+        assert!(command_usage("run").contains("[--json true]"));
     }
 
     #[test]
@@ -1737,7 +1713,17 @@ mod tests {
         ]))
         .expect("record");
         corpus(&args(&["replay", &path_str, "--entry", "mcf-baseline"])).expect("replay");
+        corpus(&args(&[
+            "replay", &path_str, "--entry", "mcf-baseline", "--system", "aos",
+        ]))
+        .expect("replay on another system");
         corpus(&args(&["verify", &path_str])).expect("verify");
+        assert!(matches!(
+            corpus(&args(&[
+                "replay", &path_str, "--entry", "mcf-baseline", "--system", "mpx",
+            ])),
+            Err(CliError::Usage(_))
+        ));
         assert!(matches!(
             corpus(&args(&["replay", &path_str, "--entry", "nonesuch"])),
             Err(CliError::Usage(_))
@@ -1769,5 +1755,6 @@ mod tests {
         assert!(table(&["4".into()]).is_ok());
         assert!(table(&["9".into()]).is_err());
         assert!(fig(&["99".into()]).is_err());
+        assert!(fig(&["realworld".into(), "--scale".into(), "0".into()]).is_err());
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! `record` banks a workload × system grid into a CRC-checked
 //! [`aos_core::isa::corpus`] file; `replay` feeds one recorded entry
-//! through a Table IV machine or the static protocol linter. Replays
-//! are bit-identical to the in-process pipeline, so results carry
-//! FNV-1a fingerprints (`stats_digest` / `report_digest`) that can be
-//! compared across processes and sessions.
+//! through a Table IV machine (of the recorded system, or of another
+//! one to replay the same trace on a different machine) or the static
+//! protocol linter. Replays are bit-identical to the in-process
+//! pipeline, so results carry FNV-1a fingerprints (`stats_digest` /
+//! `report_digest`) that can be compared across processes and
+//! sessions.
 
 use aos_core::experiment::SystemUnderTest;
 use aos_core::isa::corpus::{CorpusReader, CorpusWriter, Replay};
@@ -43,11 +45,13 @@ fn report_digest(report: &LintReport) -> u64 {
 
 fn sim_result_json(prefix: &str, stats: &RunStats, trace_ops: u64) -> String {
     format!(
-        "{prefix}\"cycles\":{},\"retired_ops\":{},\"trace_ops\":{trace_ops},\"ipc\":{:.4},\"violations\":{},\"stats_digest\":\"{:016x}\"}}",
+        "{prefix}\"cycles\":{},\"retired_ops\":{},\"trace_ops\":{trace_ops},\"ipc\":{:.4},\"violations\":{},\"hbt_resizes\":{},\"traffic_bytes\":{},\"stats_digest\":\"{:016x}\"}}",
         stats.cycles,
         stats.retired_ops,
         stats.ipc(),
         stats.violations,
+        stats.hbt_resizes,
+        stats.traffic.total_bytes(),
         stats_digest(stats),
     )
 }
@@ -154,7 +158,8 @@ pub fn record(
 }
 
 /// Replays entry `entry` of the corpus at `path` in `mode` and renders
-/// the result line.
+/// the result line. `system` overrides the system recorded in the
+/// entry's metadata (e.g. an AOS trace on a Baseline machine).
 ///
 /// # Errors
 ///
@@ -165,6 +170,7 @@ pub fn replay(
     path: &str,
     entry: &str,
     mode: ReplayMode,
+    system: Option<SafetyConfig>,
     telemetry: &Telemetry,
 ) -> Result<String, AosError> {
     let reader = CorpusReader::open(path, telemetry.clone())?;
@@ -174,7 +180,10 @@ pub fn replay(
             AosError::invalid_input("corpus replay", format!("no entry '{entry}' in {path}"))
         })?
         .clone();
-    let system = system_from_metadata(&meta.metadata)?;
+    let system = match system {
+        Some(system) => system,
+        None => system_from_metadata(&meta.metadata)?,
+    };
     let mut ops = ReplayOps {
         inner: reader.replay(&meta)?,
         error: None,
@@ -220,8 +229,14 @@ mod tests {
     #[test]
     fn record_then_replay_is_bit_identical_to_the_in_process_pipeline() {
         let (_dir, path) = recorded("cli-corpus-identity", "mcf", SafetyConfig::Aos);
-        let replayed =
-            replay(&path, "mcf-aos", ReplayMode::Sim, &Telemetry::disabled()).expect("replay");
+        let replayed = replay(
+            &path,
+            "mcf-aos",
+            ReplayMode::Sim,
+            None,
+            &Telemetry::disabled(),
+        )
+        .expect("replay");
 
         let p = profile::by_name("mcf").expect("profile");
         let config = SystemUnderTest::standard(SafetyConfig::Aos).machine_config();
@@ -234,10 +249,53 @@ mod tests {
     }
 
     #[test]
+    fn system_override_replays_the_trace_on_another_machine() {
+        let (_dir, path) = recorded("cli-corpus-override", "mcf", SafetyConfig::Aos);
+        let replayed = replay(
+            &path,
+            "mcf-aos",
+            ReplayMode::Sim,
+            Some(SafetyConfig::Baseline),
+            &Telemetry::disabled(),
+        )
+        .expect("replay");
+        assert!(replayed.contains("\"system\":\"Baseline\""), "{replayed}");
+
+        // The recorded AOS trace on a Baseline machine: the same run
+        // as an in-process Baseline machine over the AOS generator.
+        let p = profile::by_name("mcf").expect("profile");
+        let config = SystemUnderTest::standard(SafetyConfig::Baseline).machine_config();
+        let stats = Machine::new(config).run(TraceGenerator::new(p, SafetyConfig::Aos, 0.004));
+        let expect = format!("\"stats_digest\":\"{:016x}\"", stats_digest(&stats));
+        assert!(
+            replayed.contains(&expect),
+            "replay {replayed} != in-process digest {expect}"
+        );
+        let recorded_system = replay(
+            &path,
+            "mcf-aos",
+            ReplayMode::Sim,
+            None,
+            &Telemetry::disabled(),
+        )
+        .expect("replay");
+        assert!(
+            !recorded_system.contains(&expect),
+            "the override must change the machine"
+        );
+    }
+
+    #[test]
     fn replay_lint_matches_in_process_lint() {
         let (_dir, path) = recorded("cli-corpus-lintid", "mcf", SafetyConfig::Aos);
-        let via_corpus =
-            replay(&path, "mcf-aos", ReplayMode::Lint, &Telemetry::disabled()).expect("replay");
+        let via_corpus = replay(
+            &path,
+            "mcf-aos",
+            ReplayMode::Lint,
+            None,
+            &Telemetry::disabled(),
+        )
+        .expect("replay");
         let p = profile::by_name("mcf").expect("profile");
         let report = lint_stream(
             TraceGenerator::new(p, SafetyConfig::Aos, 0.004),
@@ -264,7 +322,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write");
 
         let t = Telemetry::enabled();
-        let err = replay(&path, "mcf-baseline", ReplayMode::Sim, &t)
+        let err = replay(&path, "mcf-baseline", ReplayMode::Sim, None, &t)
             .expect_err("corrupt replay must fail");
         assert!(matches!(err, AosError::Corruption { .. }), "{err}");
         assert!(t.snapshot().counter(Counter::CorpusCrcFailures) >= 1);

@@ -12,10 +12,10 @@
 //! aos lint [options]                   static protocol verification
 //! aos matrix [options]                 cross-policy detection matrix
 //! aos table <1|2|3|4> [--scale f]      reproduce a paper table
-//! aos fig <11|14|15|16|17|18> [--scale f]   reproduce a paper figure
+//! aos fig <11|14-18|realworld> [--scale f]   reproduce a paper figure
 //! aos pac [--allocations n] [--bits b] the Fig. 11 microbenchmark
-//! aos trace / aos replay               capture & replay µop traces
-//! aos corpus record|replay|verify      persistent CRC-checked corpora
+//! aos corpus record|replay|verify      capture & replay µop traces in
+//!                                      CRC-checked corpora
 //! aos params                           the Table IV machine
 //! aos workloads                        list the calibrated workloads
 //! ```
@@ -28,6 +28,7 @@ use std::process::ExitCode;
 mod args;
 mod commands;
 mod corpus;
+mod reports;
 
 use commands::CliError;
 

@@ -1,5 +1,6 @@
-//! The table/figure reproductions as string-returning functions, shared
-//! by the `src/bin/*` binaries and the `aos` CLI.
+//! The table/figure reproductions as string-returning functions, the
+//! bodies of `aos table <1-4>` and `aos fig <11|14-18|realworld>`.
+//! `results/*.txt` holds each one's output at `--scale 1.0`.
 //!
 //! Every timing matrix here fans out through the campaign runner
 //! ([`aos_core::experiment::campaign`]) — one worker per available
@@ -21,7 +22,10 @@ use aos_core::workloads::WorkloadProfile;
 use aos_util::par::{effective_threads, ordered_parallel_map};
 use aos_util::stats::geomean;
 
-use crate::ratio;
+/// Formats a ratio column.
+fn ratio(value: f64) -> String {
+    format!("{value:>8.3}")
+}
 
 fn rule_line(out: &mut String, header: &str) {
     let _ = writeln!(out, "{}", "-".repeat(header.len()));
@@ -61,6 +65,35 @@ fn parallel_schedules(profiles: &[WorkloadProfile], scale: f64) -> Vec<UsageProf
 /// The five standard systems at one scale, figure plotting order.
 fn standard_systems(scale: f64) -> [SystemUnderTest; 5] {
     SafetyConfig::ALL.map(|s| SystemUnderTest::scaled(s, scale))
+}
+
+/// Runs the `profiles × systems` grid and appends one row per profile
+/// — each system's `metric` normalized to column 0 (the Baseline
+/// divisor), then `suffix` of the row's stats — and a `Geomean` row
+/// over each normalized column. The body of Figs. 14, 15 and 18 and of
+/// the real-world extension.
+fn normalized_grid(
+    out: &mut String,
+    profiles: &[WorkloadProfile],
+    systems: &[SystemUnderTest],
+    metric: impl Fn(&RunStats) -> f64,
+    suffix: impl Fn(&[RunStats]) -> String,
+) {
+    let grid = campaign_grid(profiles, systems);
+    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); systems.len() - 1];
+    for (profile, row_stats) in profiles.iter().zip(grid.chunks(systems.len())) {
+        let base = metric(&row_stats[0]).max(1.0);
+        let mut row = String::new();
+        for (column, stats) in columns.iter_mut().zip(&row_stats[1..]) {
+            let normalized = metric(stats) / base;
+            column.push(normalized);
+            row.push_str(&ratio(normalized));
+            row.push(' ');
+        }
+        let _ = writeln!(out, "{:<12} {row}{}", profile.name, suffix(row_stats));
+    }
+    let geomeans: Vec<String> = columns.iter().map(|c| ratio(geomean(c))).collect();
+    let _ = writeln!(out, "{:<12} {}", "Geomean", geomeans.join(" "));
 }
 
 /// Fig. 11: the QARMA PAC distribution study.
@@ -224,32 +257,16 @@ pub fn fig14(scale: f64) -> String {
     let _ = writeln!(out, "{header}");
     rule_line(&mut out, &header);
     let systems = standard_systems(scale);
-    let grid = campaign_grid(SPEC2006, &systems);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); systems.len() - 1];
-    for (p, profile) in SPEC2006.iter().enumerate() {
-        let row_stats = &grid[p * systems.len()..(p + 1) * systems.len()];
-        let baseline = &row_stats[0];
-        let mut row = String::new();
-        let mut resizes = 0;
-        for (i, (sut, stats)) in systems.iter().zip(row_stats).enumerate().skip(1) {
-            let normalized = stats.cycles as f64 / baseline.cycles as f64;
-            columns[i - 1].push(normalized);
-            row.push_str(&ratio(normalized));
-            row.push(' ');
-            if sut.safety == SafetyConfig::Aos {
-                resizes = stats.hbt_resizes;
-            }
-        }
-        let _ = writeln!(out, "{:<12} {row}{:>5}", profile.name, resizes);
-    }
-    let _ = writeln!(
-        out,
-        "{:<12} {} {} {} {}",
-        "Geomean",
-        ratio(geomean(&columns[0])),
-        ratio(geomean(&columns[1])),
-        ratio(geomean(&columns[2])),
-        ratio(geomean(&columns[3])),
+    let aos = systems
+        .iter()
+        .position(|sut| sut.safety == SafetyConfig::Aos)
+        .expect("the standard systems include AOS");
+    normalized_grid(
+        &mut out,
+        SPEC2006,
+        &systems,
+        |stats| stats.cycles as f64,
+        |row| format!("{:>5}", row[aos].hbt_resizes),
     );
     let _ = writeln!(
         out,
@@ -280,28 +297,12 @@ pub fn fig15(scale: f64) -> String {
         compression,
         ..SystemUnderTest::scaled(SafetyConfig::Aos, scale)
     }));
-    let grid = campaign_grid(SPEC2006, &systems);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for (p, profile) in SPEC2006.iter().enumerate() {
-        let row_stats = &grid[p * systems.len()..(p + 1) * systems.len()];
-        let baseline = &row_stats[0];
-        let mut row = String::new();
-        for (i, stats) in row_stats.iter().enumerate().skip(1) {
-            let normalized = stats.cycles as f64 / baseline.cycles as f64;
-            columns[i - 1].push(normalized);
-            row.push_str(&ratio(normalized));
-            row.push(' ');
-        }
-        let _ = writeln!(out, "{:<12} {row}", profile.name);
-    }
-    let _ = writeln!(
-        out,
-        "{:<12} {} {} {} {}",
-        "Geomean",
-        ratio(geomean(&columns[0])),
-        ratio(geomean(&columns[1])),
-        ratio(geomean(&columns[2])),
-        ratio(geomean(&columns[3])),
+    normalized_grid(
+        &mut out,
+        SPEC2006,
+        &systems,
+        |stats| stats.cycles as f64,
+        |_| String::new(),
     );
     let _ = writeln!(
         out,
@@ -391,29 +392,12 @@ pub fn fig18(scale: f64) -> String {
     );
     let _ = writeln!(out, "{header}");
     rule_line(&mut out, &header);
-    let systems = standard_systems(scale);
-    let grid = campaign_grid(SPEC2006, &systems);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); systems.len() - 1];
-    for (p, profile) in SPEC2006.iter().enumerate() {
-        let row_stats = &grid[p * systems.len()..(p + 1) * systems.len()];
-        let base_bytes = row_stats[0].traffic.total_bytes().max(1) as f64;
-        let mut row = String::new();
-        for (i, stats) in row_stats.iter().enumerate().skip(1) {
-            let normalized = stats.traffic.total_bytes() as f64 / base_bytes;
-            columns[i - 1].push(normalized);
-            row.push_str(&ratio(normalized));
-            row.push(' ');
-        }
-        let _ = writeln!(out, "{:<12} {row}", profile.name);
-    }
-    let _ = writeln!(
-        out,
-        "{:<12} {} {} {} {}",
-        "Geomean",
-        ratio(geomean(&columns[0])),
-        ratio(geomean(&columns[1])),
-        ratio(geomean(&columns[2])),
-        ratio(geomean(&columns[3])),
+    normalized_grid(
+        &mut out,
+        SPEC2006,
+        &standard_systems(scale),
+        |stats| stats.traffic.total_bytes() as f64,
+        |_| String::new(),
     );
     let _ = writeln!(
         out,
@@ -437,29 +421,12 @@ pub fn realworld_exec_time(scale: f64) -> String {
     );
     let _ = writeln!(out, "{header}");
     rule_line(&mut out, &header);
-    let systems = standard_systems(scale);
-    let grid = campaign_grid(REAL_WORLD, &systems);
-    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); systems.len() - 1];
-    for (p, profile) in REAL_WORLD.iter().enumerate() {
-        let row_stats = &grid[p * systems.len()..(p + 1) * systems.len()];
-        let baseline = &row_stats[0];
-        let mut row = String::new();
-        for (i, stats) in row_stats.iter().enumerate().skip(1) {
-            let normalized = stats.cycles as f64 / baseline.cycles as f64;
-            columns[i - 1].push(normalized);
-            row.push_str(&ratio(normalized));
-            row.push(' ');
-        }
-        let _ = writeln!(out, "{:<12} {row}", profile.name);
-    }
-    let _ = writeln!(
-        out,
-        "{:<12} {} {} {} {}",
-        "Geomean",
-        ratio(geomean(&columns[0])),
-        ratio(geomean(&columns[1])),
-        ratio(geomean(&columns[2])),
-        ratio(geomean(&columns[3])),
+    normalized_grid(
+        &mut out,
+        REAL_WORLD,
+        &standard_systems(scale),
+        |stats| stats.cycles as f64,
+        |_| String::new(),
     );
     let _ = writeln!(
         out,
@@ -490,10 +457,18 @@ mod tests {
     }
 
     #[test]
+    fn ratio_formatting() {
+        assert_eq!(ratio(1.0), "   1.000");
+    }
+
+    #[test]
     fn timing_reports_render_at_tiny_scale() {
         for report in [fig16(0.002), fig17(0.002)] {
             assert!(report.contains("hmmer"));
             assert!(report.contains("omnetpp"));
         }
+        let realworld = realworld_exec_time(0.002);
+        assert!(realworld.contains("mysql"));
+        assert!(realworld.contains("Geomean"));
     }
 }

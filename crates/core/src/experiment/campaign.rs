@@ -4,7 +4,7 @@
 //! a cell list out across a scoped worker pool
 //! ([`aos_util::par::ordered_parallel_catch`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
-//! JSON report (`aos-campaign-report/v7`, with per-cell telemetry
+//! JSON report (`aos-campaign-report/v8`, with per-cell telemetry
 //! counter columns) so perf trajectories can be tracked across
 //! changes.
 //!
@@ -14,13 +14,12 @@
 //! are identical whether the campaign runs on 1 thread or 64 — the
 //! parallel path only changes wall-clock, never results.
 //!
-//! Degradation semantics: one poisoned cell must never sink a whole
-//! figure. Each cell runs under `catch_unwind` (and optionally a
-//! wall-clock timeout and bounded retry with linear backoff, see
-//! [`CampaignOptions`]); a cell that still fails is recorded as
+//! Failure isolation: one poisoned cell must never sink a whole
+//! figure. `ordered_parallel_catch` runs each cell under
+//! `catch_unwind`; a cell whose runner panics is recorded as
 //! [`CellOutcome::Failed`] with the captured panic message while every
-//! other cell completes normally. A cell that needed more than one
-//! attempt completes but is marked *degraded* in the report.
+//! other cell completes normally. Cells are deterministic, so a cell
+//! runs once: a retry would only replay the same panic.
 //!
 //! # Examples
 //!
@@ -39,13 +38,12 @@
 //! assert!(report.results[0].stats().unwrap().cycles > 0);
 //! ```
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use aos_sim::RunStats;
-use aos_util::guard::{run_guarded, GuardOptions};
 use aos_util::json;
-use aos_util::par::{effective_threads, ordered_parallel_map};
+use aos_util::par::{effective_threads, ordered_parallel_catch};
 use aos_workloads::WorkloadProfile;
 
 use super::SystemUnderTest;
@@ -120,11 +118,10 @@ impl From<RunStats> for CellOutput {
 pub enum CellOutcome {
     /// The simulation ran to completion.
     Completed(CellOutput),
-    /// Every attempt panicked or timed out; the cell was skipped so the
-    /// rest of the campaign could finish.
+    /// The runner panicked; the cell was skipped so the rest of the
+    /// campaign could finish.
     Failed {
-        /// The captured panic message (or timeout description) of the
-        /// final attempt.
+        /// `cell <label> panicked: <message>`.
         error: String,
     },
 }
@@ -136,10 +133,8 @@ pub struct CellResult {
     pub cell: CampaignCell,
     /// How the cell ended.
     pub outcome: CellOutcome,
-    /// Wall-clock spent on this cell, across all attempts.
+    /// Wall-clock spent on this cell.
     pub wall: Duration,
-    /// Attempts consumed (1 = clean first run).
-    pub attempts: u32,
 }
 
 impl CellResult {
@@ -174,7 +169,7 @@ impl CellResult {
         self.trace_ops() as f64 / self.wall.as_secs_f64().max(1e-12)
     }
 
-    /// The final attempt's error, when the cell failed.
+    /// The captured panic, when the cell failed.
     pub fn error(&self) -> Option<&str> {
         match &self.outcome {
             CellOutcome::Completed(_) => None,
@@ -182,23 +177,22 @@ impl CellResult {
         }
     }
 
-    /// Completed, but only after at least one failed attempt.
+    /// Always `false`: a cell runs once, so it cannot complete after
+    /// a failed attempt. Kept only because the `benchmark/` package
+    /// still counts degraded cells.
     pub fn is_degraded(&self) -> bool {
-        self.stats().is_some() && self.attempts > 1
+        false
     }
 
-    /// Every attempt failed.
+    /// The runner panicked.
     pub fn is_failed(&self) -> bool {
         self.stats().is_none()
     }
 
-    /// The report's per-cell status string: `completed`, `degraded`,
-    /// or `failed`.
+    /// The report's per-cell status string: `completed` or `failed`.
     pub fn status(&self) -> &'static str {
         if self.is_failed() {
             "failed"
-        } else if self.is_degraded() {
-            "degraded"
         } else {
             "completed"
         }
@@ -220,17 +214,6 @@ pub struct CampaignOptions {
     /// environment variable, then to the machine's available
     /// parallelism (see [`aos_util::par::effective_threads`]).
     pub threads: Option<usize>,
-    /// Per-cell wall-clock limit. A cell that exceeds it counts as a
-    /// failed attempt (subject to [`CampaignOptions::retries`]). `None`
-    /// (the default) disables the limit. The timed-out simulation runs
-    /// on a detached thread that cannot be cancelled; it is abandoned
-    /// and its work discarded when it eventually finishes.
-    pub cell_timeout: Option<Duration>,
-    /// Extra attempts after a failed one (0 = fail fast, the default).
-    pub retries: u32,
-    /// Base backoff slept between attempts; attempt `n` waits
-    /// `retry_backoff * n`. Default: no backoff.
-    pub retry_backoff: Duration,
 }
 
 impl CampaignOptions {
@@ -238,37 +221,8 @@ impl CampaignOptions {
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads: Some(threads),
-            ..Self::default()
         }
     }
-
-    /// Sets a per-cell wall-clock limit.
-    pub fn timeout(mut self, limit: Duration) -> Self {
-        self.cell_timeout = Some(limit);
-        self
-    }
-
-    /// Sets the retry budget and linear-backoff base.
-    pub fn retry(mut self, retries: u32, backoff: Duration) -> Self {
-        self.retries = retries;
-        self.retry_backoff = backoff;
-        self
-    }
-}
-
-/// A finished-cell notification, delivered from worker threads.
-#[derive(Debug, Clone, Copy)]
-pub struct Progress<'a> {
-    /// Input index of the finished cell.
-    pub index: usize,
-    /// Cells finished so far, including this one.
-    pub completed: usize,
-    /// Total cells in the campaign.
-    pub total: usize,
-    /// The finished cell.
-    pub cell: &'a CampaignCell,
-    /// Wall-clock the cell took.
-    pub wall: Duration,
 }
 
 /// The whole campaign's results and timing.
@@ -314,20 +268,18 @@ impl CampaignReport {
         merged
     }
 
-    /// Cells that completed on the first attempt.
+    /// Cells that completed.
     pub fn completed(&self) -> usize {
-        self.results
-            .iter()
-            .filter(|r| !r.is_failed() && !r.is_degraded())
-            .count()
+        self.results.iter().filter(|r| !r.is_failed()).count()
     }
 
-    /// Cells that completed, but needed more than one attempt.
+    /// Always 0 (see [`CellResult::is_degraded`]). Kept only because
+    /// the `benchmark/` package still counts degraded cells.
     pub fn degraded(&self) -> usize {
-        self.results.iter().filter(|r| r.is_degraded()).count()
+        0
     }
 
-    /// Cells whose every attempt failed.
+    /// Cells whose runner panicked.
     pub fn failed(&self) -> usize {
         self.results.iter().filter(|r| r.is_failed()).count()
     }
@@ -338,21 +290,20 @@ impl CampaignReport {
         self.annotations.push((key.into(), value.into()));
     }
 
-    /// The `aos-campaign-report/v7` JSON document (schema documented
+    /// The `aos-campaign-report/v8` JSON document (schema documented
     /// in DESIGN.md §11 and pinned by `tests/report_schema_golden.rs`):
     /// campaign wall-clock, cell-health counters and cells/sec at the
-    /// top, then one record per cell with its status, attempts,
-    /// wall-clock, (for completed cells) simulated cycles per second
-    /// and the cell's telemetry counters — always present, all-zero
+    /// top, then one record per cell with its status, wall-clock,
+    /// (for completed cells) simulated cycles per second and the
+    /// cell's telemetry counters — always present, all-zero
     /// when the cell ran with telemetry disabled, so consumers see a
     /// stable shape. Failed cells carry the captured error instead.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"aos-campaign-report/v7\",\n");
+        out.push_str("  \"schema\": \"aos-campaign-report/v8\",\n");
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"cells\": {},\n", self.results.len()));
         out.push_str(&format!("  \"completed\": {},\n", self.completed()));
-        out.push_str(&format!("  \"degraded\": {},\n", self.degraded()));
         out.push_str(&format!("  \"failed\": {},\n", self.failed()));
         out.push_str(&format!(
             "  \"wall_seconds\": {:.6},\n",
@@ -389,13 +340,11 @@ impl CampaignReport {
             };
             out.push_str(&format!(
                 "    {{\"workload\": \"{}\", \"system\": \"{}\", \"scale\": {}, \
-                 \"status\": \"{}\", \"attempts\": {}, \
-                 \"wall_seconds\": {:.6}, {}}}{}\n",
+                 \"status\": \"{}\", \"wall_seconds\": {:.6}, {}}}{}\n",
                 r.cell.profile.name,
                 r.cell.sut.safety,
                 r.cell.sut.scale,
                 r.status(),
-                r.attempts,
                 r.wall.as_secs_f64(),
                 body,
                 if i + 1 < self.results.len() { "," } else { "" },
@@ -411,71 +360,53 @@ impl CampaignReport {
     }
 }
 
-/// The function a campaign invokes per cell. Shared (`Arc`) because a
-/// timed-out attempt leaves a clone running on its abandoned thread.
-/// Runners that do not meter their stream can return a bare
-/// [`RunStats`] via `.into()`.
-pub type CellRunner = Arc<dyn Fn(usize, &CampaignCell) -> CellOutput + Send + Sync>;
+/// The function a campaign invokes per cell, borrowed for the
+/// campaign's duration. Runners that do not meter their stream can
+/// return a bare [`RunStats`] via `.into()`.
+pub type CellRunner<'a> = &'a (dyn Fn(usize, &CampaignCell) -> CellOutput + Sync);
 
 /// Runs every cell across the worker pool and collects results in
 /// input order. See the [module docs](self) for the determinism
 /// guarantee and failure isolation.
 pub fn run_campaign(cells: &[CampaignCell], options: &CampaignOptions) -> CampaignReport {
-    run_campaign_with_progress(cells, options, &|_| {})
+    run_campaign_custom(cells, options, &|_index, cell: &CampaignCell| {
+        super::overlap::run_overlapped(&cell.profile, &cell.sut)
+    })
 }
 
-/// [`run_campaign`] with a per-cell completion callback.
-///
-/// `progress` is invoked from worker threads (hence `Sync`), once per
-/// finished cell (completed **or** failed), in completion order — not
-/// input order.
-pub fn run_campaign_with_progress(
-    cells: &[CampaignCell],
-    options: &CampaignOptions,
-    progress: &(dyn Fn(Progress<'_>) + Sync),
-) -> CampaignReport {
-    run_campaign_custom(
-        cells,
-        options,
-        progress,
-        Arc::new(|_index, cell: &CampaignCell| {
-            super::overlap::run_overlapped(&cell.profile, &cell.sut)
-        }),
-    )
-}
-
-/// [`run_campaign_with_progress`] with a caller-supplied per-cell
-/// runner — the extension point the fault-injection harness uses to
-/// simulate transformed traces under campaign isolation.
+/// [`run_campaign`] with a caller-supplied per-cell runner — the
+/// extension point the fault-injection harness uses to simulate
+/// transformed traces under campaign isolation.
 pub fn run_campaign_custom(
     cells: &[CampaignCell],
     options: &CampaignOptions,
-    progress: &(dyn Fn(Progress<'_>) + Sync),
-    runner: CellRunner,
+    runner: CellRunner<'_>,
 ) -> CampaignReport {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
     let threads = effective_threads(options.threads);
-    let completed = AtomicUsize::new(0);
+    let walls: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(0)).collect();
     let start = Instant::now();
-    let results = ordered_parallel_map(cells, threads, |index, cell| {
-        let cell_start = Instant::now();
-        let (outcome, attempts) = run_cell_guarded(&runner, index, cell, options);
-        let wall = cell_start.elapsed();
-        progress(Progress {
-            index,
-            completed: completed.fetch_add(1, Ordering::Relaxed) + 1,
-            total: cells.len(),
-            cell,
-            wall,
-        });
-        CellResult {
-            cell: *cell,
-            outcome,
-            wall,
-            attempts,
-        }
+    let outcomes = ordered_parallel_catch(cells, threads, |index, cell| {
+        let _clock = CellClock {
+            start: Instant::now(),
+            wall_ns: &walls[index],
+        };
+        runner(index, cell)
     });
+    let results = cells
+        .iter()
+        .zip(outcomes)
+        .zip(&walls)
+        .map(|((cell, outcome), wall_ns)| CellResult {
+            cell: *cell,
+            outcome: match outcome {
+                Ok(output) => CellOutcome::Completed(output),
+                Err(message) => CellOutcome::Failed {
+                    error: format!("cell {} panicked: {message}", cell.label()),
+                },
+            },
+            wall: Duration::from_nanos(wall_ns.load(Ordering::Relaxed)),
+        })
+        .collect();
     CampaignReport {
         results,
         wall: start.elapsed(),
@@ -484,37 +415,17 @@ pub fn run_campaign_custom(
     }
 }
 
-/// One cell under the full protection stack
-/// ([`aos_util::guard::run_guarded`]): `catch_unwind` per attempt,
-/// optional wall-clock timeout on a watchdog thread (a timed-out
-/// attempt is abandoned — it keeps simulating in the background and
-/// its eventual result is dropped; acceptable for a campaign, whose
-/// process exits when the campaign does), bounded retry with linear
-/// backoff. Returns the final outcome and attempts consumed.
-fn run_cell_guarded(
-    runner: &CellRunner,
-    index: usize,
-    cell: &CampaignCell,
-    options: &CampaignOptions,
-) -> (CellOutcome, u32) {
-    let work = {
-        let runner = Arc::clone(runner);
-        let cell = *cell;
-        Arc::new(move || runner(index, &cell))
-    };
-    let guard = GuardOptions {
-        timeout: options.cell_timeout,
-        retries: options.retries,
-        backoff: options.retry_backoff,
-    };
-    match run_guarded(work, &guard) {
-        (Ok(output), attempts) => (CellOutcome::Completed(output), attempts),
-        (Err(error), attempts) => (
-            CellOutcome::Failed {
-                error: format!("cell {} {error}", cell.label()),
-            },
-            attempts,
-        ),
+/// Stores a cell's wall-clock when dropped: on the runner's return and
+/// while a panic unwinds out of it, so failed cells are timed too.
+struct CellClock<'a> {
+    start: Instant,
+    wall_ns: &'a AtomicU64,
+}
+
+impl Drop for CellClock<'_> {
+    fn drop(&mut self) {
+        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.wall_ns.store(nanos, Ordering::Relaxed);
     }
 }
 
@@ -541,25 +452,15 @@ mod tests {
     }
 
     #[test]
-    fn campaign_preserves_input_order_and_counts_progress() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn campaign_preserves_input_order() {
         let cells = small_cells();
-        let seen = AtomicUsize::new(0);
-        let report = run_campaign_with_progress(
-            &cells,
-            &CampaignOptions::with_threads(4),
-            &|p: Progress<'_>| {
-                assert!(p.total == 10 && p.completed >= 1 && p.completed <= 10);
-                seen.fetch_add(1, Ordering::Relaxed);
-            },
-        );
-        assert_eq!(seen.load(Ordering::Relaxed), 10);
+        let report = run_campaign(&cells, &CampaignOptions::with_threads(4));
         assert_eq!(report.results.len(), 10);
         for (cell, result) in cells.iter().zip(&report.results) {
             assert_eq!(cell.label(), result.cell.label());
             assert_eq!(result.status(), "completed");
-            assert_eq!(result.attempts, 1);
             assert!(result.stats().unwrap().cycles > 0);
+            assert!(result.wall > Duration::ZERO);
         }
         assert_eq!(report.completed(), 10);
         assert_eq!(report.degraded() + report.failed(), 0);
@@ -571,7 +472,7 @@ mod tests {
         let mut report = run_campaign(&cells, &CampaignOptions::with_threads(2));
         report.annotate("note", "{\"tag\": \"smoke\"}");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v8\""));
         assert!(json.contains("\"cells\": 3"));
         assert!(json.contains("\"completed\": 3"));
         assert!(json.contains("\"failed\": 0"));
@@ -621,66 +522,25 @@ mod tests {
         let report = run_campaign_custom(
             &cells,
             &CampaignOptions::with_threads(2),
-            &|_| {},
-            Arc::new(|index, cell: &CampaignCell| {
+            &|index, cell: &CampaignCell| {
                 if index == 1 {
                     panic!("deliberately poisoned cell");
                 }
                 crate::experiment::run(&cell.profile, &cell.sut).into()
-            }),
+            },
         );
         assert_eq!(report.results.len(), 4);
         assert_eq!(report.failed(), 1);
         assert_eq!(report.completed(), 3);
         let poisoned = &report.results[1];
         assert_eq!(poisoned.status(), "failed");
-        assert!(poisoned.error().unwrap().contains("deliberately poisoned"));
+        assert_eq!(
+            poisoned.error(),
+            Some("cell mcf/Watchdog panicked: deliberately poisoned cell")
+        );
+        assert!(poisoned.wall > Duration::ZERO, "a failed cell is timed too");
         let json = report.to_json();
         assert!(json.contains("\"status\": \"failed\""));
         assert!(json.contains("deliberately poisoned cell"));
-    }
-
-    #[test]
-    fn flaky_cell_recovers_via_retry_and_is_marked_degraded() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cells = small_cells()[..1].to_vec();
-        let calls = Arc::new(AtomicUsize::new(0));
-        let calls_in_runner = Arc::clone(&calls);
-        let options = CampaignOptions::with_threads(1).retry(2, Duration::from_millis(0));
-        let report = run_campaign_custom(
-            &cells,
-            &options,
-            &|_| {},
-            Arc::new(move |_, cell: &CampaignCell| {
-                if calls_in_runner.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient fault");
-                }
-                crate::experiment::run(&cell.profile, &cell.sut).into()
-            }),
-        );
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        let cell = &report.results[0];
-        assert_eq!(cell.status(), "degraded");
-        assert_eq!(cell.attempts, 2);
-        assert!(cell.stats().unwrap().cycles > 0);
-        assert_eq!(report.degraded(), 1);
-    }
-
-    #[test]
-    fn hung_cell_times_out_and_is_reported_failed() {
-        let cells = small_cells()[..1].to_vec();
-        let options = CampaignOptions::with_threads(1).timeout(Duration::from_millis(50));
-        let report = run_campaign_custom(
-            &cells,
-            &options,
-            &|_| {},
-            Arc::new(|_, _: &CampaignCell| {
-                std::thread::sleep(Duration::from_secs(60));
-                unreachable!("the watchdog must have given up on us")
-            }),
-        );
-        let cell = &report.results[0];
-        assert!(cell.is_failed());
-        assert!(cell.error().unwrap().contains("timed out after"));
     }
 }

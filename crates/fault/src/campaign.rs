@@ -1,10 +1,7 @@
 //! The fault-injection campaign: a `kind × seed × system` grid run
-//! through the hardened campaign runner, so each trial inherits the
-//! runner's panic isolation, timeout and retry machinery, and the
-//! detection summary rides the `aos-campaign-report/v7` document as a
-//! `fault_detection` annotation.
-
-use std::sync::Arc;
+//! through the campaign runner, so each trial inherits the runner's
+//! panic isolation, and the detection summary rides the
+//! `aos-campaign-report/v8` document as a `fault_detection` annotation.
 
 use aos_core::experiment::campaign::{
     run_campaign_custom, CampaignCell, CampaignOptions, CampaignReport, CellOutput,
@@ -41,7 +38,7 @@ pub struct FaultCampaignConfig {
     /// verdicts to the same single-pass matrix scan and to the
     /// `policy_cross_check` report annotation.
     pub policies: Vec<Policy>,
-    /// Runner execution knobs (threads, timeout, retries).
+    /// Runner execution knobs (the worker-thread count).
     pub options: CampaignOptions,
     /// Whether each cell's machine records pipeline telemetry (the
     /// verdicts are identical either way; the v4 report then carries
@@ -570,33 +567,28 @@ pub fn run_fault_campaign(config: &FaultCampaignConfig) -> Result<FaultCampaignO
 
     // A failed plan is reported through its cells' Failed outcome
     // (via panic + catch_unwind) instead of aborting the sweep.
-    let plans = Arc::new(plans);
     let systems_per_plan = config.systems.len();
-    let runner = {
-        let plans = Arc::clone(&plans);
-        Arc::new(move |index: usize, cell: &CampaignCell| -> CellOutput {
-            let plan = match &plans[index / systems_per_plan] {
-                Ok(plan) => plan,
-                Err(e) => panic!("{e}"),
-            };
-            let mut faulty = plan
-                .apply(TraceGenerator::new(
-                    &cell.profile,
-                    SafetyConfig::Aos,
-                    cell.sut.scale,
-                ))
-                .metered();
-            let stats = Machine::new(cell.sut.machine_config()).run(&mut faulty);
-            CellOutput {
-                stats,
-                trace_ops: faulty.ops(),
-                peak_trace_bytes: faulty.peak_buffered_ops() as u64
-                    * std::mem::size_of::<Op>() as u64,
-            }
-        })
+    let runner = |index: usize, cell: &CampaignCell| -> CellOutput {
+        let plan = match &plans[index / systems_per_plan] {
+            Ok(plan) => plan,
+            Err(e) => panic!("{e}"),
+        };
+        let mut faulty = plan
+            .apply(TraceGenerator::new(
+                &cell.profile,
+                SafetyConfig::Aos,
+                cell.sut.scale,
+            ))
+            .metered();
+        let stats = Machine::new(cell.sut.machine_config()).run(&mut faulty);
+        CellOutput {
+            stats,
+            trace_ops: faulty.ops(),
+            peak_trace_bytes: faulty.peak_buffered_ops() as u64 * std::mem::size_of::<Op>() as u64,
+        }
     };
 
-    let mut report = run_campaign_custom(&cells, &config.options, &|_| {}, runner);
+    let mut report = run_campaign_custom(&cells, &config.options, &runner);
 
     let mut matrix = TrialMatrix::default();
     for (index, result) in report.results.iter().enumerate() {
@@ -680,7 +672,7 @@ mod tests {
         assert!(json.contains("\"lint_cross_check\": {\"clean_diagnostics\": 0, \"consistent\": true,"));
         assert!(json.contains("\"policy_cross_check\": [{\"policy\": \"aos\","));
         assert!(json.contains("\"policy\": \"pactight\""));
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v7\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v8\""));
         // Every cell streamed: ops were metered and the pipeline never
         // held more than a window of trace (the clean trace here is
         // tens of thousands of ops).

@@ -23,7 +23,7 @@
 //!   [`aos_isa::corpus`];
 //! - [`campaign`] fans a `kind × seed × system` grid through the
 //!   hardened campaign runner and annotates the
-//!   `aos-campaign-report/v7` document with detection rates.
+//!   `aos-campaign-report/v8` document with detection rates.
 //!
 //! Every fault is a pure function of `(workload, kind, seed)` — two
 //! runs of the same spec inject the identical op at the identical

@@ -23,7 +23,7 @@
 //! assert!(matches!(ops[1], Op::BndStr { .. }));
 //! ```
 
-pub mod codec;
+mod codec;
 pub mod corpus;
 pub mod expand;
 mod mix;

@@ -45,8 +45,8 @@ pub enum AosError {
         /// What the check found.
         detail: String,
     },
-    /// A unit of work (a campaign cell, a fault trial) panicked,
-    /// timed out, or otherwise failed to produce a result.
+    /// A unit of work (a campaign cell, a fault trial) panicked or
+    /// otherwise failed to produce a result.
     TaskFailed {
         /// A label identifying the task (e.g. a campaign cell).
         label: String,

@@ -14,13 +14,10 @@
 //!   across a worker pool while preserving input order, the substrate
 //!   for the campaign runner in `aos-core`; its panic-isolating twin
 //!   [`par::ordered_parallel_catch`] turns worker panics into per-item
-//!   errors instead of poisoning the whole join.
+//!   errors instead of poisoning the whole join, which is how one
+//!   failing campaign cell is kept from sinking the rest.
 //! - [`error`] — the shared [`error::AosError`] taxonomy the pipeline
 //!   crates converge to at subsystem boundaries.
-//! - [`guard`] — guarded execution of untrusted work
-//!   ([`guard::run_guarded`]: `catch_unwind` isolation, wall-clock
-//!   watchdog, bounded retry with linear backoff), the protection
-//!   stack under every campaign cell.
 //! - [`fnv`] — FNV-1a 64 ([`fnv::fnv1a64`]), the stable fingerprint
 //!   behind workload seeds, fuzzing digests and corpus replay digests.
 //! - [`json`] — [`json::escape`], the one JSON string escape the
@@ -47,7 +44,6 @@
 
 pub mod error;
 pub mod fnv;
-pub mod guard;
 pub mod json;
 pub mod par;
 pub mod rng;

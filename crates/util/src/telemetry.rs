@@ -8,7 +8,7 @@
 //!
 //! - a fixed **taxonomy** of monotonic [`Counter`]s, high-watermark /
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
-//!   with a stable wire name (the `aos-campaign-report/v7` counter
+//!   with a stable wire name (the `aos-campaign-report/v8` counter
 //!   keys);
 //! - a [`Telemetry`] **handle** threaded through construction — no
 //!   globals, no locks on the hot path. A disabled handle is a `None`

@@ -42,13 +42,16 @@ cargo run -q --release -p aos-cli -- fuzz \
 
 echo "== tier-1: corpus record -> replay -> verify round-trip =="
 # Record a cell, replay it (exit 0 = CRC-clean and bit-identical
-# machinery engaged), verify the whole file.
+# machinery engaged), replay the same ops on a Baseline machine,
+# verify the whole file.
 corpus_file="${TMPDIR:-/tmp}/aos_tier1_corpus.aosc"
 rm -f "$corpus_file"
 cargo run -q --release -p aos-cli -- corpus record \
     --out "$corpus_file" --workloads mcf --systems aos --scale 0.004 >/dev/null
 cargo run -q --release -p aos-cli -- corpus replay \
     "$corpus_file" --entry mcf-aos >/dev/null
+cargo run -q --release -p aos-cli -- corpus replay \
+    "$corpus_file" --entry mcf-aos --system baseline >/dev/null
 cargo run -q --release -p aos-cli -- corpus verify "$corpus_file" >/dev/null
 rm -f "$corpus_file"
 
@@ -62,8 +65,8 @@ cargo run -q --release -p aos-cli -- ablate \
 # the streaming pipeline must not regress into collect-then-iterate
 # (needless_collect re-materializes traces the refactor made lazy),
 # library crates must not print to stdout — user-facing output belongs
-# to the CLI and bench binaries, which are exempt from the gate by not
-# being in the crate list — and every unsafe block or impl must carry
+# to the CLI binary, which is exempt from the gate by not being in the
+# crate list — and every unsafe block or impl must carry
 # a `// SAFETY:` comment stating its soundness argument.
 # The gate is advisory when clippy is not installed (offline image).
 if command -v cargo-clippy >/dev/null 2>&1; then
