@@ -485,7 +485,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
     if bool_flag(&parsed, "json") {
         println!(
-            "{{\n  \"schema\": \"aos-stats/v4\",\n  \"system\": \"{system}\",\n  \
+            "{{\n  \"schema\": \"aos-stats/v5\",\n  \"system\": \"{system}\",\n  \
              \"scale\": {scale},\n  \"workloads\": [{}],\n  \
              \"bwb_hit_rate\": {:.4},\n  \"mcq_peak_occupancy\": {},\n  \
              \"mcq_replays\": {},\n  \"hbt_migration_rows\": {},\n  \

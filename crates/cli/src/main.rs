@@ -25,6 +25,35 @@
 
 use std::process::ExitCode;
 
+// The print macros, shadowed for this crate: a write error is dropped
+// instead of panicking. A closed pipe (`aos workloads | head -1`)
+// then ends `aos` quietly, with the command's own exit code, never a
+// panic's 101. Defined before the `mod` items so every module sees them.
+macro_rules! print {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stdout(), $($arg)*);
+    }};
+}
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+macro_rules! eprint {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = write!(std::io::stderr(), $($arg)*);
+    }};
+}
+macro_rules! eprintln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 mod args;
 mod commands;
 mod corpus;

@@ -4,7 +4,7 @@
 //! a cell list out across a scoped worker pool
 //! ([`aos_util::par::ordered_parallel_catch`]), returns per-cell
 //! [`CellResult`]s **in input order**, and renders a machine-readable
-//! JSON report (`aos-campaign-report/v8`, with per-cell telemetry
+//! JSON report (`aos-campaign-report/v9`, with per-cell telemetry
 //! counter columns) so perf trajectories can be tracked across
 //! changes.
 //!
@@ -13,6 +13,9 @@
 //! from the cell's profile and system), so the stats a cell produces
 //! are identical whether the campaign runs on 1 thread or 64 — the
 //! parallel path only changes wall-clock, never results.
+//!
+//! [`TraceGenerator`]: aos_workloads::TraceGenerator
+//! [`Machine`]: aos_sim::Machine
 //!
 //! Failure isolation: one poisoned cell must never sink a whole
 //! figure. `ordered_parallel_catch` runs each cell under
@@ -290,7 +293,7 @@ impl CampaignReport {
         self.annotations.push((key.into(), value.into()));
     }
 
-    /// The `aos-campaign-report/v8` JSON document (schema documented
+    /// The `aos-campaign-report/v9` JSON document (schema documented
     /// in DESIGN.md §11 and pinned by `tests/report_schema_golden.rs`):
     /// campaign wall-clock, cell-health counters and cells/sec at the
     /// top, then one record per cell with its status, wall-clock,
@@ -300,7 +303,7 @@ impl CampaignReport {
     /// stable shape. Failed cells carry the captured error instead.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"aos-campaign-report/v8\",\n");
+        out.push_str("  \"schema\": \"aos-campaign-report/v9\",\n");
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!("  \"cells\": {},\n", self.results.len()));
         out.push_str(&format!("  \"completed\": {},\n", self.completed()));
@@ -370,7 +373,7 @@ pub type CellRunner<'a> = &'a (dyn Fn(usize, &CampaignCell) -> CellOutput + Sync
 /// guarantee and failure isolation.
 pub fn run_campaign(cells: &[CampaignCell], options: &CampaignOptions) -> CampaignReport {
     run_campaign_custom(cells, options, &|_index, cell: &CampaignCell| {
-        super::overlap::run_overlapped(&cell.profile, &cell.sut)
+        super::run_metered(&cell.profile, &cell.sut)
     })
 }
 
@@ -463,7 +466,7 @@ mod tests {
             assert!(result.wall > Duration::ZERO);
         }
         assert_eq!(report.completed(), 10);
-        assert_eq!(report.degraded() + report.failed(), 0);
+        assert_eq!(report.failed(), 0);
     }
 
     #[test]
@@ -472,7 +475,7 @@ mod tests {
         let mut report = run_campaign(&cells, &CampaignOptions::with_threads(2));
         report.annotate("note", "{\"tag\": \"smoke\"}");
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"aos-campaign-report/v8\""));
+        assert!(json.contains("\"schema\": \"aos-campaign-report/v9\""));
         assert!(json.contains("\"cells\": 3"));
         assert!(json.contains("\"completed\": 3"));
         assert!(json.contains("\"failed\": 0"));
@@ -504,11 +507,9 @@ mod tests {
             assert!(r.ops_per_sec() > 0.0);
             let peak = r.peak_trace_bytes();
             assert!(peak > 0, "the generator buffers at least one event");
-            // Batch-granular, not trace-granular: the overlapped
-            // runner holds two ping-pong arenas plus the generator's
-            // event buffer, independent of trace length.
-            let bound = (2 * aos_isa::stream::DEFAULT_BATCH_OPS + 64) as u64
-                * std::mem::size_of::<aos_isa::Op>() as u64;
+            // Per op, the only trace held is the generator's event
+            // buffer: a few dozen ops, independent of trace length.
+            let bound = 64 * std::mem::size_of::<aos_isa::Op>() as u64;
             assert!(
                 peak <= bound,
                 "peak {peak} bytes looks like a materialized trace"

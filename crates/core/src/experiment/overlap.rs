@@ -1,17 +1,11 @@
-//! Overlapped trace generation: the cell body that double-buffers
+//! Overlapped trace generation: a cell body that double-buffers
 //! [`OpBatch`] arenas between a generator thread and the simulating
-//! thread, so trace synthesis and simulation run concurrently instead
-//! of interleaving per op.
+//! thread.
 //!
-//! Why this is worth a thread even on a single core: the per-op
-//! streaming path alternates generator and machine code every few
-//! dozen instructions, and the two working sets (heap model + RNG on
-//! one side, ROB/MCQ/cache hierarchy on the other) evict each other's
-//! cache and branch-predictor state at every switch. Batching restores
-//! long single-owner bursts — the generator fills a whole arena, the
-//! machine drains a whole arena — and the second thread lets the fill
-//! of batch `k+1` overlap the simulation of batch `k` when a second
-//! hardware thread exists.
+//! The product runs every cell per op ([`run_metered`]); this runner
+//! stays only because the benchmark still measures the overlap against
+//! it (ROADMAP item 3: step 1 drops that measurement, step 2 deletes
+//! this module).
 //!
 //! Memory stays bounded and scale-independent: exactly **two** arenas
 //! of [`DEFAULT_BATCH_OPS`] ops ping-pong between the threads (plus
@@ -20,23 +14,20 @@
 //! back, so steady state allocates nothing.
 //!
 //! Determinism: the op sequence is exactly what the generator would
-//! yield per op, so [`RunStats`] — fault verdicts and lint findings
-//! included — are bit-identical to [`run`]/[`run_metered`] on the same
-//! cell. The only observable difference is the two batch telemetry
-//! counters (`batch_ops_refilled`, `batch_fallback_ops`), which the
-//! per-op path leaves at zero; `tests/batch_equivalence.rs` pins both
-//! facts. The generator thread owns no telemetry handle — all counting
-//! happens on the simulating side, preserving the single-writer
-//! contract.
+//! yield per op, so [`RunStats`], telemetry included, are bit-identical
+//! to [`run_metered`] on the same cell; `tests/batch_equivalence.rs`
+//! pins that. The generator thread owns no telemetry handle — all
+//! counting happens on the simulating side, preserving the
+//! single-writer contract.
 //!
-//! [`run`]: super::run
 //! [`run_metered`]: super::run_metered
+//! [`RunStats`]: aos_sim::RunStats
 //! [`OpBatch`]: aos_isa::stream::OpBatch
 //! [`DEFAULT_BATCH_OPS`]: aos_isa::stream::DEFAULT_BATCH_OPS
 
 use std::sync::mpsc;
 
-use aos_isa::stream::{BatchSource, BufferedOps, OpBatch, OpStream, DEFAULT_BATCH_OPS};
+use aos_isa::stream::{BatchSource, Batched, BufferedOps, OpBatch, OpStream, DEFAULT_BATCH_OPS};
 use aos_sim::Machine;
 use aos_workloads::{TraceGenerator, WorkloadProfile};
 
@@ -52,14 +43,9 @@ use super::SystemUnderTest;
 /// refills return 0 and the driver winds down; when this source drops,
 /// the recycle channel disconnects and the generator thread exits even
 /// mid-rendezvous, so neither side can deadlock on shutdown.
-#[derive(Debug)]
-pub struct OverlapSource {
+struct OverlapSource {
     filled: mpsc::Receiver<OpBatch>,
     recycle: mpsc::Sender<OpBatch>,
-    /// Whether the producing side fills arenas batch-natively (true
-    /// for [`TraceGenerator`]); forwarded so fallback telemetry stays
-    /// accurate through the channel hop.
-    native: bool,
     done: bool,
 }
 
@@ -84,10 +70,6 @@ impl BatchSource for OverlapSource {
             }
         }
     }
-
-    fn batch_native(&self) -> bool {
-        self.native
-    }
 }
 
 /// What the generator thread reports back when it finishes.
@@ -98,38 +80,10 @@ struct ProducerReport {
     peak_buffered_ops: usize,
 }
 
-/// Runs one cell batch-granular, overlapping generation with
-/// simulation when the host can actually run both at once. Drop-in
-/// replacement for [`super::run_metered`]: same stats, same metering
-/// columns, batch-granular memory bound.
-///
-/// On a single-hardware-thread host the rendezvous per batch costs
-/// more than the overlap returns, so the cell degrades to the
-/// in-thread batched driver ([`Machine::run_batched`]) — identical op
-/// sequence, identical stats and batch counters, one arena instead of
-/// two. The stats are bit-identical across all three shapes (per-op,
-/// in-thread batched, threaded overlap); only the `peak_trace_bytes`
-/// metering reflects which shape ran.
-pub fn run_overlapped(profile: &WorkloadProfile, sut: &SystemUnderTest) -> CellOutput {
-    if aos_util::par::effective_threads(None) >= 2 {
-        return run_overlapped_threaded(profile, sut);
-    }
-    let mut gen = TraceGenerator::new(profile, sut.safety, sut.scale).metered();
-    let mut machine = Machine::new(sut.machine_config());
-    let stats = machine.run_batched(&mut gen);
-    CellOutput {
-        stats,
-        trace_ops: gen.ops(),
-        peak_trace_bytes: (DEFAULT_BATCH_OPS + gen.peak_buffered_ops()) as u64
-            * std::mem::size_of::<aos_isa::Op>() as u64,
-    }
-}
-
-/// The always-threaded double buffer behind [`run_overlapped`]:
-/// generator thread fills, simulating thread drains, two arenas
-/// ping-pong. Exposed so the equivalence suite (and callers that know
-/// their core budget) can exercise the overlap path regardless of
-/// what the host advertises.
+/// Runs one cell with the generator on a second thread: it fills, the
+/// simulating thread drains, two arenas ping-pong. Same stats and
+/// `trace_ops` as [`super::run_metered`]; `peak_trace_bytes` counts
+/// both arenas.
 pub fn run_overlapped_threaded(profile: &WorkloadProfile, sut: &SystemUnderTest) -> CellOutput {
     let batch_ops = DEFAULT_BATCH_OPS;
     let (fill_tx, fill_rx) = mpsc::sync_channel::<OpBatch>(1);
@@ -164,11 +118,10 @@ pub fn run_overlapped_threaded(profile: &WorkloadProfile, sut: &SystemUnderTest)
         let source = OverlapSource {
             filled: fill_rx,
             recycle: recycle_tx,
-            native: true,
             done: false,
         };
         let mut machine = Machine::new(sut.machine_config());
-        let stats = machine.run_batched(source);
+        let stats = machine.run(Batched::new(source, batch_ops));
         let report = producer
             .join()
             .expect("generator thread only runs panic-free library code");
@@ -189,50 +142,19 @@ pub fn run_overlapped_threaded(profile: &WorkloadProfile, sut: &SystemUnderTest)
 mod tests {
     use super::*;
     use aos_isa::SafetyConfig;
-    use aos_util::Counter;
     use aos_workloads::profile::by_name;
 
     #[test]
     fn overlapped_run_matches_metered_run() {
         let p = by_name("hmmer").unwrap();
-        for (safety, threaded) in [
-            (SafetyConfig::Baseline, false),
-            (SafetyConfig::Aos, false),
-            (SafetyConfig::Baseline, true),
-            (SafetyConfig::Aos, true),
-        ] {
+        for safety in [SafetyConfig::Baseline, SafetyConfig::Aos] {
             let sut = SystemUnderTest::scaled(safety, 0.004).with_telemetry(true);
             let metered = super::super::run_metered(p, &sut);
-            let overlapped = if threaded {
-                run_overlapped_threaded(p, &sut)
-            } else {
-                run_overlapped(p, &sut)
-            };
+            let overlapped = run_overlapped_threaded(p, &sut);
             assert_eq!(overlapped.trace_ops, metered.trace_ops);
             assert_eq!(
-                overlapped.stats.without_telemetry(),
-                metered.stats.without_telemetry(),
+                overlapped.stats, metered.stats,
                 "{safety}: overlap changed the simulation"
-            );
-            // Telemetry identical up to the batch counters the per-op
-            // path cannot increment.
-            let zeroed = [Counter::BatchOpsRefilled, Counter::BatchFallbackOps];
-            assert_eq!(
-                overlapped.stats.telemetry.with_counters_zeroed(&zeroed),
-                metered.stats.telemetry.with_counters_zeroed(&zeroed),
-            );
-            assert_eq!(
-                overlapped.stats.telemetry.counter(Counter::BatchOpsRefilled),
-                overlapped.trace_ops,
-                "every op must arrive through a batch refill"
-            );
-            assert_eq!(
-                overlapped
-                    .stats
-                    .telemetry
-                    .counter(Counter::BatchFallbackOps),
-                0,
-                "the generator is batch-native; nothing may fall back"
             );
         }
     }
@@ -242,11 +164,10 @@ mod tests {
         let p = by_name("mcf").unwrap();
         let sut = SystemUnderTest::scaled(SafetyConfig::Aos, 0.01);
         let op_bytes = std::mem::size_of::<aos_isa::Op>() as u64;
-        for out in [run_overlapped(p, &sut), run_overlapped_threaded(p, &sut)] {
-            // At least one full arena, far below the materialized
-            // trace, independent of scale.
-            assert!(out.peak_trace_bytes >= DEFAULT_BATCH_OPS as u64 * op_bytes);
-            assert!(out.peak_trace_bytes < out.trace_ops * op_bytes / 4);
-        }
+        let out = run_overlapped_threaded(p, &sut);
+        // Both arenas, far below the materialized trace, independent
+        // of scale.
+        assert!(out.peak_trace_bytes >= 2 * DEFAULT_BATCH_OPS as u64 * op_bytes);
+        assert!(out.peak_trace_bytes < out.trace_ops * op_bytes / 4);
     }
 }

@@ -47,7 +47,6 @@ pub mod experiment;
 pub mod ext;
 pub mod hwcost;
 mod memory;
-pub mod os;
 mod process;
 pub mod security;
 

@@ -43,12 +43,9 @@
 
 use std::collections::VecDeque;
 
-use aos_util::{Counter, Telemetry};
-
 use crate::Op;
 
-/// Struct-of-arrays batch of ops: the unit of transfer on the
-/// pipeline's batch-native fast path.
+/// Struct-of-arrays batch of ops: the arena a [`BatchSource`] refills.
 ///
 /// Every [`Op`] round-trips losslessly through four parallel arrays —
 /// a kind byte, two 64-bit payload words and a flag byte — so a batch
@@ -63,7 +60,6 @@ pub struct OpBatch {
     arg_a: Vec<u64>,
     arg_b: Vec<u64>,
     flags: Vec<u8>,
-    limit: usize,
 }
 
 const K_INT_ALU: u8 = 0;
@@ -161,9 +157,6 @@ fn decode_op(kind: u8, a: u64, b: u64, f: u8) -> Op {
 }
 
 impl OpBatch {
-    /// Bytes per op in the struct-of-arrays layout.
-    pub const BYTES_PER_OP: usize = 18;
-
     /// A batch holding up to `ops` ops, arrays allocated up front.
     pub fn with_capacity(ops: usize) -> Self {
         Self {
@@ -171,20 +164,13 @@ impl OpBatch {
             arg_a: Vec::with_capacity(ops),
             arg_b: Vec::with_capacity(ops),
             flags: Vec::with_capacity(ops),
-            limit: ops,
         }
     }
 
-    /// The refill limit (ops) set at construction.
+    /// The refill limit (ops) set at construction: `Vec::with_capacity`
+    /// allocates exactly the requested capacity.
     pub fn capacity(&self) -> usize {
-        self.limit
-    }
-
-    /// Fixed arena size in bytes (capacity, not fill level) — the
-    /// constant, scale-independent memory a batched pipeline stage
-    /// adds on top of the stream's own `O(window)` buffers.
-    pub fn arena_bytes(&self) -> usize {
-        self.limit * Self::BYTES_PER_OP
+        self.kinds.capacity()
     }
 
     /// Ops currently in the batch.
@@ -199,7 +185,7 @@ impl OpBatch {
 
     /// Whether the batch reached its refill limit.
     pub fn is_full(&self) -> bool {
-        self.kinds.len() >= self.limit
+        self.kinds.len() >= self.kinds.capacity()
     }
 
     /// Empties the batch, keeping the arena for the next refill.
@@ -239,48 +225,9 @@ impl OpBatch {
         )
     }
 
-    /// Overwrites the op at `index` (the batched `replace_at` splice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn set(&mut self, index: usize, op: Op) {
-        let (k, a, b, f) = encode_op(op);
-        self.kinds[index] = k;
-        self.arg_a[index] = a;
-        self.arg_b[index] = b;
-        self.flags[index] = f;
-    }
-
-    /// Inserts an op at `index`, shifting everything after it (the
-    /// batched `insert_at` splice — rare, so the `O(len)` shift across
-    /// the four arrays is off the steady-state path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index > len`.
-    pub fn insert(&mut self, index: usize, op: Op) {
-        let (k, a, b, f) = encode_op(op);
-        self.kinds.insert(index, k);
-        self.arg_a.insert(index, a);
-        self.arg_b.insert(index, b);
-        self.flags.insert(index, f);
-    }
-
     /// Decoded ops in order.
     pub fn iter(&self) -> impl Iterator<Item = Op> + '_ {
         (0..self.len()).map(|i| self.get(i))
-    }
-
-    /// Runs `f` with the refill limit temporarily lowered by `slots`
-    /// (never below the current fill level) — how a splicing adapter
-    /// reserves room for its own op before delegating a refill.
-    pub fn with_reserved<R>(&mut self, slots: usize, f: impl FnOnce(&mut OpBatch) -> R) -> R {
-        let old = self.limit;
-        self.limit = self.limit.saturating_sub(slots).max(self.len());
-        let out = f(self);
-        self.limit = old;
-        out
     }
 }
 
@@ -350,31 +297,6 @@ pub trait OpStream: Iterator<Item = Op> {
             emitted: 0,
         }
     }
-
-    /// Appends ops to `batch` until it is full or the stream ends and
-    /// returns how many were added — so fewer than the available space
-    /// means the stream is exhausted.
-    ///
-    /// This default is the universal *fallback*: one `next()` call per
-    /// op, correct for every stream. Pipeline components that can do
-    /// better implement [`BatchSource`], whose `refill_batch` is the
-    /// batch-native fast path; [`PerOp`] bridges any plain stream into
-    /// a `BatchSource` through this method (and reports itself
-    /// non-native so the `batch_fallback_ops` counter exposes the
-    /// degradation).
-    fn next_batch(&mut self, batch: &mut OpBatch) -> usize {
-        let mut added = 0;
-        while !batch.is_full() {
-            match self.next() {
-                Some(op) => {
-                    batch.push(op);
-                    added += 1;
-                }
-                None => break,
-            }
-        }
-        added
-    }
 }
 
 impl<I: Iterator<Item = Op>> OpStream for I {}
@@ -382,64 +304,23 @@ impl<I: Iterator<Item = Op>> OpStream for I {}
 /// The batch-native refill interface: fill an [`OpBatch`] wholesale
 /// instead of being pulled one op at a time.
 ///
-/// The contract matches [`OpStream::next_batch`]: append until the
-/// batch is full or the stream ends, return the number appended, and
-/// therefore signal exhaustion by returning less than the space that
-/// was available. Implementations must yield exactly the op sequence
-/// their `Iterator` impl would — the batched and per-op paths are
-/// interchangeable bit for bit, which `tests/batch_equivalence.rs`
-/// pins across every system.
+/// Append until the batch is full or the stream ends, return the
+/// number appended, and therefore signal exhaustion by returning less
+/// than the space that was available. Implementations must yield
+/// exactly the op sequence their `Iterator` impl would.
+///
+/// The product runs per op; this trait, [`OpBatch`], [`Batched`] and
+/// [`DEFAULT_BATCH_OPS`] remain only because the benchmark's transport
+/// measurement still drives them (ROADMAP item 3, step 1 removes that
+/// use, step 2 deletes them).
 pub trait BatchSource {
-    /// Refills `batch` on the fast path. See the trait docs for the
-    /// contract.
+    /// Refills `batch`. See the trait docs for the contract.
     fn refill_batch(&mut self, batch: &mut OpBatch) -> usize;
 
-    /// Whether refills stay batch-native end to end. A chain reports
-    /// `false` as soon as any stage degrades to per-op pulls, which
-    /// the [`Batched`] driver surfaces as `batch_fallback_ops`.
+    /// Whether refills stay batch-native end to end. Nothing reads it;
+    /// it stays so existing implementations keep compiling.
     fn batch_native(&self) -> bool {
         true
-    }
-}
-
-impl<S: BatchSource + ?Sized> BatchSource for &mut S {
-    fn refill_batch(&mut self, batch: &mut OpBatch) -> usize {
-        (**self).refill_batch(batch)
-    }
-
-    fn batch_native(&self) -> bool {
-        (**self).batch_native()
-    }
-}
-
-/// Bridges any plain [`OpStream`] into a [`BatchSource`] via the
-/// per-op [`OpStream::next_batch`] fallback. Reports itself
-/// non-native, so a pipeline that had to fall back is visible in the
-/// `batch_fallback_ops` telemetry counter.
-#[derive(Debug, Clone)]
-pub struct PerOp<I>(pub I);
-
-impl<I: Iterator<Item = Op>> Iterator for PerOp<I> {
-    type Item = Op;
-
-    fn next(&mut self) -> Option<Op> {
-        self.0.next()
-    }
-}
-
-impl<I: Iterator<Item = Op>> BatchSource for PerOp<I> {
-    fn refill_batch(&mut self, batch: &mut OpBatch) -> usize {
-        self.0.next_batch(batch)
-    }
-
-    fn batch_native(&self) -> bool {
-        false
-    }
-}
-
-impl<I: BufferedOps> BufferedOps for PerOp<I> {
-    fn peak_buffered_ops(&self) -> usize {
-        self.0.peak_buffered_ops()
     }
 }
 
@@ -448,31 +329,20 @@ impl<I: BufferedOps> BufferedOps for PerOp<I> {
 /// identical to iterating the source directly — only the refill
 /// granularity changes — so a `Machine` fed through `Batched` produces
 /// bit-identical `RunStats`.
-///
-/// When handed a telemetry handle, every refill records
-/// `batch_ops_refilled` (and `batch_fallback_ops` for non-native
-/// sources), which is how `aos stats` proves the fast path was taken.
 #[derive(Debug)]
 pub struct Batched<S> {
     source: S,
     batch: OpBatch,
     pos: usize,
     done: bool,
-    peak_batch: usize,
-    telemetry: Telemetry,
 }
 
-/// Default refill granularity for [`Batched`] drivers and the
-/// double-buffered overlap runner: large enough to amortize refill
-/// dispatch and keep generator and simulator each running long
-/// cache-friendly bursts, small enough that an arena stays a fixed
-/// few KiB regardless of trace length.
+/// Refill granularity of the benchmark's [`Batched`] drivers and of the
+/// double-buffered overlap runner: a fixed few KiB per arena regardless
+/// of trace length.
 pub const DEFAULT_BATCH_OPS: usize = 1024;
 
 impl<S: BatchSource> Batched<S> {
-    /// Default refill granularity; see [`DEFAULT_BATCH_OPS`].
-    pub const DEFAULT_BATCH_OPS: usize = DEFAULT_BATCH_OPS;
-
     /// Wraps `source` with a fresh arena of `batch_ops` ops.
     pub fn new(source: S, batch_ops: usize) -> Self {
         Self {
@@ -480,41 +350,15 @@ impl<S: BatchSource> Batched<S> {
             batch: OpBatch::with_capacity(batch_ops.max(2)),
             pos: 0,
             done: false,
-            peak_batch: 0,
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Records refills into `telemetry` (`batch_ops_refilled` /
-    /// `batch_fallback_ops`).
-    #[must_use]
-    pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// The wrapped source.
-    pub fn get_ref(&self) -> &S {
-        &self.source
-    }
-
-    /// Unwraps back to the source.
-    pub fn into_inner(self) -> S {
-        self.source
     }
 
     fn refill(&mut self) -> bool {
         self.batch.clear();
         self.pos = 0;
-        let n = self.source.refill_batch(&mut self.batch);
-        if n == 0 {
+        if self.source.refill_batch(&mut self.batch) == 0 {
             self.done = true;
             return false;
-        }
-        self.peak_batch = self.peak_batch.max(self.batch.len());
-        self.telemetry.add(Counter::BatchOpsRefilled, n as u64);
-        if !self.source.batch_native() {
-            self.telemetry.add(Counter::BatchFallbackOps, n as u64);
         }
         true
     }
@@ -531,14 +375,6 @@ impl<S: BatchSource> Iterator for Batched<S> {
         let op = self.batch.get(self.pos);
         self.pos += 1;
         Some(op)
-    }
-}
-
-impl<S: BufferedOps> BufferedOps for Batched<S> {
-    fn peak_buffered_ops(&self) -> usize {
-        // The arena's high-water mark counts: ops sitting in the batch
-        // are buffered ops, fixed at the capacity chosen up front.
-        self.source.peak_buffered_ops() + self.peak_batch
     }
 }
 
@@ -587,39 +423,6 @@ impl<I: BufferedOps> BufferedOps for InsertAt<I> {
     }
 }
 
-impl<I: BatchSource> BatchSource for InsertAt<I> {
-    fn refill_batch(&mut self, batch: &mut OpBatch) -> usize {
-        let start = batch.len();
-        // Keep one slot free for the pending splice so inserting it
-        // cannot overflow the refill limit.
-        let reserve = usize::from(self.op.is_some());
-        let space = batch.capacity().saturating_sub(start + reserve);
-        let n = batch.with_reserved(reserve, |b| self.inner.refill_batch(b));
-        let exhausted = n < space;
-        let mut added = n;
-        if let Some(op) = self.op.take() {
-            debug_assert!(self.at >= self.index, "splice op would already be emitted");
-            if self.at <= self.index + n {
-                batch.insert(start + (self.at - self.index), op);
-                added += 1;
-            } else if exhausted {
-                // The splice point lies past the end: append, exactly
-                // like the per-op path.
-                batch.push(op);
-                added += 1;
-            } else {
-                self.op = Some(op);
-            }
-        }
-        self.index += added;
-        added
-    }
-
-    fn batch_native(&self) -> bool {
-        self.inner.batch_native()
-    }
-}
-
 /// Yields the wrapped stream with the op at one fixed index swapped
 /// out. See [`OpStream::replace_at`]. Buffers exactly one op.
 #[derive(Debug, Clone)]
@@ -656,27 +459,6 @@ impl<I: Iterator<Item = Op>> Iterator for ReplaceAt<I> {
 impl<I: BufferedOps> BufferedOps for ReplaceAt<I> {
     fn peak_buffered_ops(&self) -> usize {
         self.inner.peak_buffered_ops() + 1
-    }
-}
-
-impl<I: BatchSource> BatchSource for ReplaceAt<I> {
-    fn refill_batch(&mut self, batch: &mut OpBatch) -> usize {
-        let start = batch.len();
-        let n = self.inner.refill_batch(batch);
-        if let Some(op) = self.op.take() {
-            debug_assert!(self.at >= self.index, "replacement would already be emitted");
-            if self.at < self.index + n {
-                batch.set(start + (self.at - self.index), op);
-            } else {
-                self.op = Some(op);
-            }
-        }
-        self.index += n;
-        n
-    }
-
-    fn batch_native(&self) -> bool {
-        self.inner.batch_native()
     }
 }
 
@@ -828,44 +610,6 @@ impl<I: BufferedOps> BufferedOps for SpliceMany<I> {
     }
 }
 
-impl<I: Iterator<Item = Op> + BatchSource> BatchSource for SpliceMany<I> {
-    fn refill_batch(&mut self, batch: &mut OpBatch) -> usize {
-        // Fast path: no queued ops and no edit can land inside this
-        // refill window (the inner source can add at most `space`
-        // ops), so the whole refill is a pass-through.
-        let space = batch.capacity().saturating_sub(batch.len());
-        let clear_of_edits = self.next_edit == self.edits.len()
-            || self.edits[self.next_edit].at >= self.index + space;
-        if self.pending.is_empty() && clear_of_edits {
-            let n = self.inner.refill_batch(batch);
-            self.index += n;
-            // n == 0 with edits still pending means the stream ended
-            // short of a splice site: fall through so the per-op path
-            // runs the end-of-stream append rule.
-            if n > 0 || self.next_edit == self.edits.len() {
-                return n;
-            }
-        }
-        // Near an edit site (or at end-of-stream with tail edits):
-        // refill per op so all splice bookkeeping stays in `next`.
-        let mut added = 0;
-        while !batch.is_full() {
-            match self.next() {
-                Some(op) => {
-                    batch.push(op);
-                    added += 1;
-                }
-                None => break,
-            }
-        }
-        added
-    }
-
-    fn batch_native(&self) -> bool {
-        self.inner.batch_native()
-    }
-}
-
 /// Transparent op counter; composes with [`BufferedOps`] so a consumer
 /// can drain a stream through `&mut` and read both the op count and
 /// the pipeline's peak buffer afterwards.
@@ -952,12 +696,6 @@ pub struct Lookahead<I: Iterator<Item = Op>> {
     index: usize,
     peak: usize,
     exhausted: bool,
-    /// Carry-over arena for batched refills: ops pulled from the inner
-    /// stream's batch-native path that did not fit the window yet.
-    /// Zero-capacity (no allocation) unless [`Lookahead::batched`]
-    /// built this instance.
-    scratch: OpBatch,
-    scratch_pos: usize,
 }
 
 impl<I: Iterator<Item = Op>> Lookahead<I> {
@@ -970,34 +708,17 @@ impl<I: Iterator<Item = Op>> Lookahead<I> {
             index: 0,
             peak: 0,
             exhausted: false,
-            scratch: OpBatch::with_capacity(0),
-            scratch_pos: 0,
         }
     }
 
     fn fill(&mut self) {
-        while self.buf.len() < self.window + 1 {
-            // Carried-over ops from a batched refill come first — they
-            // are older than anything still in the inner stream.
-            if self.scratch_pos < self.scratch.len() {
-                self.buf.push_back(self.scratch.get(self.scratch_pos));
-                self.scratch_pos += 1;
-                continue;
-            }
-            if self.exhausted {
-                break;
-            }
+        while !self.exhausted && self.buf.len() < self.window + 1 {
             match self.inner.next() {
                 Some(op) => self.buf.push_back(op),
                 None => self.exhausted = true,
             }
         }
-        self.note_peak();
-    }
-
-    fn note_peak(&mut self) {
-        let carried = self.scratch.len() - self.scratch_pos;
-        self.peak = self.peak.max(self.buf.len() + carried);
+        self.peak = self.peak.max(self.buf.len());
     }
 
     /// The next op and its stream index, or `None` at end of stream.
@@ -1019,45 +740,6 @@ impl<I: Iterator<Item = Op>> Lookahead<I> {
     /// stream length once `next_op` has returned `None`).
     pub fn consumed(&self) -> usize {
         self.index
-    }
-}
-
-impl<I: Iterator<Item = Op> + BatchSource> Lookahead<I> {
-    /// Like [`Lookahead::new`], but window refills go through the
-    /// inner stream's batch-native path, `batch_ops` at a time, into a
-    /// carry-over arena drained as the window advances. Yields exactly
-    /// the sequence (and window contents) of the per-op constructor.
-    pub fn batched(inner: I, window: usize, batch_ops: usize) -> Self {
-        let mut look = Self::new(inner, window);
-        look.scratch = OpBatch::with_capacity(batch_ops.max(window + 1));
-        look
-    }
-
-    fn fill_batched(&mut self) {
-        loop {
-            while self.scratch_pos < self.scratch.len() && self.buf.len() < self.window + 1 {
-                self.buf.push_back(self.scratch.get(self.scratch_pos));
-                self.scratch_pos += 1;
-            }
-            if self.exhausted || self.buf.len() > self.window {
-                break;
-            }
-            self.scratch.clear();
-            self.scratch_pos = 0;
-            if self.inner.refill_batch(&mut self.scratch) == 0 {
-                self.exhausted = true;
-            }
-        }
-        self.note_peak();
-    }
-
-    /// [`Lookahead::next_op`] over the batch-native refill path.
-    pub fn next_op_batched(&mut self) -> Option<(usize, Op)> {
-        self.fill_batched();
-        let op = self.buf.pop_front()?;
-        let index = self.index;
-        self.index += 1;
-        Some((index, op))
     }
 }
 
@@ -1220,63 +902,31 @@ mod tests {
         assert!(batch.is_full());
         let decoded: Vec<Op> = batch.iter().collect();
         assert_eq!(decoded, ops);
-        assert_eq!(batch.arena_bytes(), ops.len() * OpBatch::BYTES_PER_OP);
         batch.clear();
         assert!(batch.is_empty());
         assert_eq!(batch.capacity(), ops.len());
     }
 
-    #[test]
-    fn default_next_batch_drains_any_stream() {
-        let ops = every_op_variant();
-        let mut stream = ops.iter().copied();
-        let mut batch = OpBatch::with_capacity(7);
-        let mut collected = Vec::new();
-        loop {
-            batch.clear();
-            let n = stream.next_batch(&mut batch);
-            if n == 0 {
-                break;
+    /// A slice refilled into an arena, the simplest [`BatchSource`].
+    struct SliceSource<'a>(&'a [Op]);
+
+    impl BatchSource for SliceSource<'_> {
+        fn refill_batch(&mut self, batch: &mut OpBatch) -> usize {
+            let n = (batch.capacity() - batch.len()).min(self.0.len());
+            for &op in &self.0[..n] {
+                batch.push(op);
             }
-            collected.extend(batch.iter());
+            self.0 = &self.0[n..];
+            n
         }
-        assert_eq!(collected, ops);
     }
 
     #[test]
     fn batched_driver_matches_per_op_iteration() {
         let ops = every_op_variant();
         for cap in [2, 3, 7, 64] {
-            let batched: Vec<Op> = Batched::new(PerOp(ops.iter().copied()), cap).collect();
+            let batched: Vec<Op> = Batched::new(SliceSource(&ops), cap).collect();
             assert_eq!(batched, ops, "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn insert_at_batched_matches_per_op_for_every_splice_point() {
-        let base: Vec<Op> = every_op_variant();
-        for at in 0..=base.len() + 2 {
-            for cap in [2, 3, 5, 64] {
-                let per_op: Vec<Op> = base.iter().copied().insert_at(at, Op::FpAlu).collect();
-                let batched: Vec<Op> =
-                    Batched::new(PerOp(base.iter().copied()).insert_at(at, Op::FpAlu), cap)
-                        .collect();
-                assert_eq!(batched, per_op, "at {at} cap {cap}");
-            }
-        }
-    }
-
-    #[test]
-    fn replace_at_batched_matches_per_op() {
-        let base: Vec<Op> = every_op_variant();
-        for at in 0..=base.len() + 2 {
-            for cap in [2, 5, 64] {
-                let per_op: Vec<Op> = base.iter().copied().replace_at(at, Op::IntMul).collect();
-                let batched: Vec<Op> =
-                    Batched::new(PerOp(base.iter().copied()).replace_at(at, Op::IntMul), cap)
-                        .collect();
-                assert_eq!(batched, per_op, "at {at} cap {cap}");
-            }
         }
     }
 
@@ -1350,22 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn splice_many_batched_matches_per_op() {
-        let base = every_op_variant();
-        for edits in splice_cases(base.len()) {
-            let expected = splice_reference(&base, &edits);
-            for cap in [2, 3, 5, 64] {
-                let batched: Vec<Op> = Batched::new(
-                    SpliceMany::new(PerOp(base.iter().copied()), edits.clone()),
-                    cap,
-                )
-                .collect();
-                assert_eq!(batched, expected, "edits {edits:?} cap {cap}");
-            }
-        }
-    }
-
-    #[test]
     fn splice_many_agrees_with_the_single_op_adapters() {
         let base = every_op_variant();
         for at in [0, 3, base.len() - 1, base.len() + 2] {
@@ -1402,64 +1036,4 @@ mod tests {
         );
     }
 
-    #[test]
-    fn metered_batched_counts_and_preserves_order() {
-        let base: Vec<Op> = every_op_variant();
-        let mut stream = PerOp(base.iter().copied()).metered();
-        let mut batch = OpBatch::with_capacity(4);
-        let mut total = 0;
-        loop {
-            batch.clear();
-            let n = stream.refill_batch(&mut batch);
-            if n == 0 {
-                break;
-            }
-            total += n;
-        }
-        assert_eq!(total, base.len());
-        assert_eq!(stream.ops(), base.len() as u64);
-    }
-
-    #[test]
-    fn batched_driver_records_refill_telemetry() {
-        use aos_util::Telemetry;
-        let t = Telemetry::enabled();
-        let ops = every_op_variant();
-        let n: usize = Batched::new(PerOp(ops.iter().copied()), 8)
-            .with_telemetry(t.clone())
-            .count();
-        assert_eq!(n, ops.len());
-        let snap = t.snapshot();
-        assert_eq!(snap.counter(Counter::BatchOpsRefilled), ops.len() as u64);
-        assert_eq!(
-            snap.counter(Counter::BatchFallbackOps),
-            ops.len() as u64,
-            "PerOp is the fallback bridge"
-        );
-    }
-
-    #[test]
-    fn lookahead_batched_matches_per_op_windows() {
-        let trace: Vec<Op> = (0..100)
-            .map(|i| Op::Load {
-                pointer: i,
-                bytes: 8,
-                chained: false,
-            })
-            .collect();
-        let mut per_op = Lookahead::new(trace.iter().copied(), 5);
-        let mut batched = Lookahead::batched(PerOp(trace.iter().copied()), 5, 16);
-        loop {
-            let a = per_op.next_op();
-            let b = batched.next_op_batched();
-            assert_eq!(a, b);
-            let wa: Vec<Op> = per_op.window().copied().collect();
-            let wb: Vec<Op> = batched.window().copied().collect();
-            assert_eq!(wa, wb, "windows diverge at {:?}", a);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(per_op.consumed(), batched.consumed());
-    }
 }

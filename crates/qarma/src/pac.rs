@@ -274,21 +274,6 @@ impl Qarma64 {
         }
     }
 
-    /// [`Qarma64::compute_batch`], recording one
-    /// [`Counter::PacComputations`](aos_util::telemetry::Counter) event
-    /// per element so batched signing stays indistinguishable from
-    /// per-call signing in the telemetry report.
-    pub fn compute_batch_with(
-        &self,
-        data: &[u64],
-        modifiers: &[u64],
-        out: &mut [u64],
-        telemetry: &aos_util::Telemetry,
-    ) {
-        telemetry.add(aos_util::Counter::PacComputations, data.len() as u64);
-        self.compute_batch(data, modifiers, out);
-    }
-
     /// [`Qarma64::compute`], recording the invocation as a
     /// [`Counter::PacComputations`](aos_util::telemetry::Counter)
     /// event. The cipher itself is `Copy` and cannot hold a handle, so
@@ -616,20 +601,6 @@ mod tests {
             q.compute_batch(&d, &m, &mut out);
             assert!(out.iter().all(|&o| o == want), "data={data:#x}");
         }
-    }
-
-    #[test]
-    fn compute_batch_with_counts_every_element() {
-        let telemetry = aos_util::Telemetry::enabled();
-        let q = Qarma64::new(PacKey::new(1, 2));
-        let data = [3u64; 11];
-        let modifiers = [4u64; 11];
-        let mut out = [0u64; 11];
-        q.compute_batch_with(&data, &modifiers, &mut out, &telemetry);
-        assert_eq!(
-            telemetry.snapshot().counter(aos_util::Counter::PacComputations),
-            11
-        );
     }
 
     #[test]

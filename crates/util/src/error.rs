@@ -3,9 +3,10 @@
 //! Every crate in the pipeline speaks its own precise error language
 //! (`HeapError`, `AosException`, `MemorySafetyError`, …); [`AosError`]
 //! is the common denominator those converge to at subsystem
-//! boundaries — the campaign runner, the CLI, the fault harness — so a
-//! malformed trace or a poisoned cell surfaces as a typed, printable
-//! error instead of a Rust panic.
+//! boundaries — the CLI, the fault harness, the corpus store — so a
+//! malformed trace or flag surfaces as a typed, printable error
+//! instead of a Rust panic. (A panicking campaign cell is a
+//! `CellOutcome::Failed` with the panic message, not an `AosError`.)
 //!
 //! `aos-util` sits at the bottom of the dependency stack, so the
 //! variants carry owned strings rather than foreign error types; the
@@ -45,14 +46,6 @@ pub enum AosError {
         /// What the check found.
         detail: String,
     },
-    /// A unit of work (a campaign cell, a fault trial) panicked or
-    /// otherwise failed to produce a result.
-    TaskFailed {
-        /// A label identifying the task (e.g. a campaign cell).
-        label: String,
-        /// The captured panic message or failure reason.
-        detail: String,
-    },
     /// An I/O failure while reading or writing traces and reports.
     Io {
         /// The path or stream involved.
@@ -86,14 +79,6 @@ impl AosError {
             detail: detail.to_string(),
         }
     }
-
-    /// Shorthand for [`AosError::TaskFailed`].
-    pub fn task_failed(label: impl Into<String>, detail: impl std::fmt::Display) -> Self {
-        AosError::TaskFailed {
-            label: label.into(),
-            detail: detail.to_string(),
-        }
-    }
 }
 
 impl std::fmt::Display for AosError {
@@ -110,9 +95,6 @@ impl std::fmt::Display for AosError {
             }
             AosError::Corruption { context, detail } => {
                 write!(f, "corrupted {context}: {detail}")
-            }
-            AosError::TaskFailed { label, detail } => {
-                write!(f, "task {label} failed: {detail}")
             }
             AosError::Io { context, detail } => {
                 write!(f, "i/o error on {context}: {detail}")
@@ -160,8 +142,6 @@ mod tests {
         assert!(e.to_string().contains("violation"));
         let e = AosError::corruption("bounds record", "CRC mismatch");
         assert!(e.to_string().contains("corrupted bounds record"));
-        let e = AosError::task_failed("mcf/AOS", "panicked");
-        assert!(e.to_string().contains("task mcf/AOS failed"));
     }
 
     #[test]

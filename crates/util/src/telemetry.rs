@@ -8,7 +8,7 @@
 //!
 //! - a fixed **taxonomy** of monotonic [`Counter`]s, high-watermark /
 //!   level [`Gauge`]s and power-of-two bucketed [`Hist`]ograms, each
-//!   with a stable wire name (the `aos-campaign-report/v8` counter
+//!   with a stable wire name (the `aos-campaign-report/v9` counter
 //!   keys);
 //! - a [`Telemetry`] **handle** threaded through construction — no
 //!   globals, no locks on the hot path. A disabled handle is a `None`
@@ -110,11 +110,6 @@ pub enum Counter {
     LintOpsScanned,
     /// Diagnostics the linter emitted (all rules, all severities).
     LintDiagnostics,
-    /// Ops delivered through batch refills of the streaming pipeline.
-    BatchOpsRefilled,
-    /// Refilled ops that degraded to the per-op fallback pull (≈ 0
-    /// when every stage of the pipeline is batch-native).
-    BatchFallbackOps,
     /// Corpus frames written (entry headers, op blocks, trailers).
     CorpusBlocksWritten,
     /// Corpus frames read and CRC-validated.
@@ -155,7 +150,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters in the taxonomy.
-    pub const COUNT: usize = 42;
+    pub const COUNT: usize = 40;
 
     /// Every counter, in cell (and wire) order.
     pub const ALL: [Counter; Self::COUNT] = [
@@ -186,8 +181,6 @@ impl Counter {
         Counter::HeapFrees,
         Counter::LintOpsScanned,
         Counter::LintDiagnostics,
-        Counter::BatchOpsRefilled,
-        Counter::BatchFallbackOps,
         Counter::CorpusBlocksWritten,
         Counter::CorpusBlocksRead,
         Counter::CorpusCrcFailures,
@@ -232,8 +225,6 @@ impl Counter {
         "heap_frees",
         "lint_ops_scanned",
         "lint_diagnostics",
-        "batch_ops_refilled",
-        "batch_fallback_ops",
         "corpus_blocks_written",
         "corpus_blocks_read",
         "corpus_crc_failures",
@@ -515,19 +506,6 @@ impl TelemetrySnapshot {
         } else {
             hits as f64 / total as f64
         }
-    }
-
-    /// A copy with the given counters zeroed. The batch-plumbing
-    /// counters (`batch_ops_refilled` / `batch_fallback_ops`) describe
-    /// how ops were *delivered*, not what was simulated, so the
-    /// batched-vs-per-op equivalence tests zero them before comparing
-    /// snapshots bit for bit.
-    pub fn with_counters_zeroed(&self, zeroed: &[Counter]) -> TelemetrySnapshot {
-        let mut out = self.clone();
-        for &c in zeroed {
-            out.counters[c as usize] = 0;
-        }
-        out
     }
 
     /// Folds another snapshot in: counters and histogram buckets sum,

@@ -462,11 +462,11 @@ impl aos_isa::stream::BufferedOps for TraceGenerator {
 }
 
 impl aos_isa::stream::BatchSource for TraceGenerator {
-    /// Batch-native refill: generates events and moves whole event
-    /// bursts into the batch, skipping the per-op iterator dispatch.
-    /// Event order, RNG draws and the buffer high-water mark are
-    /// exactly those of the per-op path, so the emitted trace is
-    /// bit-identical.
+    /// Batch-native refill for the benchmark's transport measurement
+    /// (the product iterates per op): generates events and moves whole
+    /// event bursts into the batch. Event order, RNG draws and the
+    /// buffer high-water mark are exactly those of the per-op path, so
+    /// the emitted trace is bit-identical.
     fn refill_batch(&mut self, batch: &mut aos_isa::stream::OpBatch) -> usize {
         let mut added = 0;
         loop {

@@ -61,6 +61,30 @@ echo "== tier-1: MCU geometry sweep smoke =="
 cargo run -q --release -p aos-cli -- ablate \
     --scale 0.002 --mcq 24,48 --bwb 64 >/dev/null
 
+echo "== tier-1: closed-pipe smoke =="
+# A reader that exits early closes aos's stdout (or stderr) under it;
+# aos must still end with its own code — 0, or 2 for a usage error —
+# never a panic's 101. pipefail would fail the pipe on the expected 2,
+# so each status is read from PIPESTATUS with errexit off.
+cargo build -q --release -p aos-cli
+aos_bin="${CARGO_TARGET_DIR:-target}/release/aos"
+closed_pipe_status() {
+    local status
+    set +e
+    "$aos_bin" "$@" 2>&1 | head -1 >/dev/null
+    status=${PIPESTATUS[0]}
+    set -e
+    echo "$status"
+}
+for invocation in "workloads" "run mcf --json --scale 0.01"; do
+    # shellcheck disable=SC2086 # split the invocation into arguments
+    status=$(closed_pipe_status $invocation)
+    if [ "$status" = 101 ]; then
+        echo "aos $invocation | head -1 panicked (exit 101)" >&2
+        exit 1
+    fi
+done
+
 # Hardened crates must not grow new unwrap() on input-reachable paths,
 # the streaming pipeline must not regress into collect-then-iterate
 # (needless_collect re-materializes traces the refactor made lazy),
